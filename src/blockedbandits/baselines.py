@@ -59,7 +59,7 @@ def run_etc(sim: Simulation, cfg: EtcConfig, rng: np.random.Generator) -> None:
     """One Bernoulli exploration block, one completion call, then commit."""
     inst = sim.instance
     horizon = inst.horizon
-    sigma = inst.noise.sigma if inst.noise.kind == "gaussian" else 1.0
+    sigma = inst.noise.scale
     if cfg.p_override is not None:
         p = cfg.p_override
     elif cfg.m_target is not None:
@@ -246,9 +246,7 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
     inst = sim.instance
     horizon = inst.horizon
     n_clusters = cfg.n_clusters or inst.n_clusters
-    sigma = cfg.sigma
-    if sigma is None:
-        sigma = inst.noise.sigma if inst.noise.kind == "gaussian" else 1.0
+    sigma = inst.noise.scale if cfg.sigma is None else cfg.sigma
     all_items = np.arange(inst.n_items)
     groups = [_Group(np.arange(inst.n_users), all_items)]
     report: list[PracticalPhase] = []

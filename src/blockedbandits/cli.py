@@ -62,7 +62,7 @@ def parse_dataset(doc: dict) -> GeneratorSpec:
 
 
 def dataset_doc(spec: GeneratorSpec) -> dict:
-    spec = spec  # serialised as-declared, not resolved, for round-trip fidelity
+    # serialised as-declared, not resolved, for round-trip fidelity
     return {
         "name": spec.name, "users": spec.n_users, "items": spec.n_items,
         "clusters": spec.n_clusters, "horizon": spec.horizon,

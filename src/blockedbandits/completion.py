@@ -90,10 +90,6 @@ def _svt(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
     return (u[:, keep] * s[keep]) @ vt[keep], s
 
 
-def resolve_lambda(prob: CompletionProblem, cfg: SolverConfig) -> float:
-    return _resolve_lambda(prob, cfg)[0]
-
-
 def _resolve_lambda(prob: CompletionProblem, cfg: SolverConfig) -> tuple[float, bool]:
     """Regulariser for the block, and whether the zero-noise floor applied.
 

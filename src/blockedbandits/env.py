@@ -66,6 +66,13 @@ class NoiseModel:
         if self.kind == "gaussian" and self.sigma < 0:
             raise ConfigurationError("gaussian noise needs sigma >= 0")
 
+    @property
+    def scale(self) -> float:
+        """Noise scale the policies assume: sigma for gaussian noise, 1.0
+        for sign feedback, whose +/-1 observations have standard deviation
+        at most 1."""
+        return self.sigma if self.kind == "gaussian" else 1.0
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -93,6 +100,18 @@ class GeneratorSpec:
     v_scale: float = 5.0  # stddev for "normal", upper bound for "uniform"
     noise: NoiseModel = NoiseModel("gaussian", 0.5)
     item_clusters: int | None = None
+
+    def __post_init__(self) -> None:
+        sizes = {"n_users": self.n_users, "n_items": self.n_items,
+                 "n_clusters": self.n_clusters, "horizon": self.horizon,
+                 "budget": self.budget, "item_clusters": self.item_clusters}
+        for name, value in sizes.items():
+            if value is not None and value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if self.n_clusters > self.n_users:
+            raise ConfigurationError("more clusters than users")
+        if self.n_items * self.budget < self.horizon:
+            raise ConfigurationError("infeasible: N*B < T")
 
     def resolved(self) -> "GeneratorSpec":
         if self.name == "custom":
@@ -158,10 +177,6 @@ def _draw_factor(law: str, scale: float, shape: tuple[int, int],
 def generate_instance(spec: GeneratorSpec, seed: int) -> Instance:
     """Build an instance from ``spec``, deterministically in ``seed``."""
     spec = spec.resolved()
-    if spec.n_clusters > spec.n_users:
-        raise ConfigurationError("more clusters than users")
-    if spec.n_items * spec.budget < spec.horizon:
-        raise ConfigurationError("infeasible: N*B < T")
     rng = stream(seed, "instance")
     cluster_of = np.arange(spec.n_users) % spec.n_clusters
     item_cluster_of = None
@@ -364,15 +379,6 @@ class Simulation:
             out[ev.user, ev.round - 1] = ev.item
         return out
 
-    def realized_rewards(self) -> np.ndarray:
-        """(M, T) observed reward per user per round; requires a finished run."""
-        if not self.finished():
-            raise ProtocolError("run incomplete: not every user has T rounds")
-        out = np.zeros((self.instance.n_users, self.instance.horizon))
-        for ev in self.events:
-            out[ev.user, ev.round - 1] = ev.reward
-        return out
-
     def unblocked_in(self, user: int, items: np.ndarray) -> np.ndarray:
         counts = self.ledger.counts_row(user)[items]
         return items[counts < self.instance.budget]
@@ -438,3 +444,5 @@ def instance_from_json(text: str) -> Instance:
         )
     except KeyError as exc:
         raise ConfigurationError(f"instance document missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid instance document: {exc}") from exc

@@ -99,7 +99,7 @@ def _run_phased(sim, rng, **params):
 
 
 def _run_item_phased(sim, rng, **params):
-    cfg = item_phased.default_config(sim, **params)
+    cfg = phased.default_config(sim, **params)
     item_phased.run_item_phased(sim, cfg, rng)
 
 

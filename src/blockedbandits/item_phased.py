@@ -6,31 +6,23 @@ calls: the ledger keeps a single binary counter per pair and archives every
 observation for reuse.  After each user-clustering step the surviving item
 sets are expanded to full connected components of an item-similarity graph,
 which keeps them unions of whole item clusters; the exploit component expands
-its certified set the same way before recommending.
+its certified set the same way before recommending.  Everything else is the
+task loop of :mod:`phased`.
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .completion import SolverConfig, estimate
+from . import phased
 from .env import Simulation
-from .phased import (
-    ACCURACY_TO_GAP,
-    EDGE_FACTOR,
-    EXPLOIT_GAP_FACTOR,
-    PhaseRecord,
-    RunReport,
-    exploration_floor,
-    golden_rank,
-    sampling_prob,
-    similarity_components,
-)
+from .phased import PhasedConfig, RunReport
+
+# Unused here, but the benchmark's tracer patches these names in this module.
+from .completion import estimate  # noqa: F401
+from .phased import similarity_components  # noqa: F401
 
 __all__ = ["ItemPhasedConfig", "item_components", "run_item_phased"]
 
@@ -39,21 +31,8 @@ __all__ = ["ItemPhasedConfig", "item_components", "run_item_phased"]
 # chaining through both user and item clusters.
 ITEM_EDGE_FACTOR = 16
 
-
-@dataclass(frozen=True)
-class ItemPhasedConfig:
-    n_clusters: int
-    sigma: float
-    reward_ceiling: float
-    mu_bound: float = 2.0
-    eps1: float | None = None
-    sampling_c: float = 1.0
-    floor_c: float = 1.5
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    max_phases: int = 64
-
-    def initial_accuracy(self) -> float:
-        return self.reward_ceiling if self.eps1 is None else self.eps1
+# The variant takes the same knobs as the phased policy.
+ItemPhasedConfig = PhasedConfig
 
 
 def item_components(est_cols: np.ndarray, threshold: float) -> np.ndarray:
@@ -80,196 +59,15 @@ def _closure(active: np.ndarray, labels: np.ndarray, seed_items: np.ndarray) -> 
     return active[np.isin(labels, hit)]
 
 
-def _filler(sim: Simulation, user: int, active: np.ndarray,
-            exclude: set[int], rng: np.random.Generator) -> int:
-    cand = sim.unblocked_in(user, active)
-    if exclude:
-        cand = cand[[int(c) not in exclude for c in cand]]
-    if cand.size:
-        return int(rng.choice(cand))
-    return sim.any_unblocked(user, active)
-
-
-def _explore_reusing(sim: Simulation, users: np.ndarray, active: np.ndarray,
-                     t0: int, p: float, cfg: ItemPhasedConfig,
-                     rng: np.random.Generator) -> tuple[np.ndarray | None, int]:
-    """Explore with archived-observation reuse: a blocked sampled pair
-    contributes its stored value while the round is spent on a filler item."""
-    inst = sim.instance
-    horizon = inst.horizon
-    n_u, n_i = len(users), len(active)
-    picks = rng.random((n_u, n_i)) < p
-    per_user = [np.flatnonzero(picks[lu]) for lu in range(n_u)]
-    m = min(max((len(q) for q in per_user), default=0), horizon - t0)
-    if m == 0:
-        return None, t0
-
-    omega_rows: list[int] = []
-    omega_cols: list[int] = []
-    values: list[float] = []
-    consumed: list[int] = []
-    for lu, user in enumerate(users):
-        queue = per_user[lu]
-        in_omega = {int(active[lj]) for lj in queue}
-        used = 0
-        for lj in queue[: m]:
-            item = int(active[lj])
-            if not sim.ledger.is_blocked(user, item):
-                value, event_id = sim.recommend(user, item, "explore")
-            else:
-                value, event_id = sim.reuse_observation(user, item)
-                filler = _filler(sim, user, active, in_omega, rng)
-                sim.recommend(user, filler, "filler")
-            omega_rows.append(lu)
-            omega_cols.append(int(lj))
-            values.append(value)
-            consumed.append(event_id)
-            used += 1
-        for _ in range(m - used):
-            filler = _filler(sim, user, active, in_omega, rng)
-            sim.recommend(user, filler, "filler")
-
-    t_new = t0 + m
-    if not values:
-        return None, t_new
-    omega = np.stack([omega_rows, omega_cols], axis=1)
-    result = estimate(n_u, n_i, omega, np.asarray(values), cfg.sigma,
-                      cfg.n_clusters, cfg.solver, rng)
-    call_id = sim.new_estimate_call()
-    sim.mark_consumed(consumed, call_id)
-    return result.matrix, t_new
-
-
-def _exploit_expanding(sim: Simulation, users: np.ndarray, active: np.ndarray,
-                       t0: int, t_exploit: int, p_tilde: np.ndarray,
-                       delta_l: float, delta_next: float,
-                       cfg: ItemPhasedConfig) -> tuple[np.ndarray, int, int]:
-    inst = sim.instance
-    horizon, budget = inst.horizon, inst.budget
-    active = np.array(active, copy=True)
-    threshold = EXPLOIT_GAP_FACTOR * cfg.n_clusters * delta_l
-    while t0 < horizon and active.size:
-        rank = golden_rank(horizon, budget, t_exploit)
-        if rank <= 0:
-            break
-        est = p_tilde[np.ix_(users, active)]
-        order = np.sort(est, axis=1)[:, ::-1]
-        gaps = order[:, 0] - order[:, min(rank, active.size) - 1]
-        if gaps.max() < threshold:
-            break
-        tops = order[:, 0]
-        near = est >= tops[:, None] - EDGE_FACTOR * delta_next
-        seed = active[np.flatnonzero(near.any(axis=0))]
-        labels = item_components(
-            est, ITEM_EDGE_FACTOR * cfg.n_clusters * delta_next)
-        s_items = _closure(active, labels, seed)
-        n_rounds = min(len(s_items) * budget, horizon - t0)
-        for step in range(1, n_rounds + 1):
-            item = int(s_items[math.ceil(step / budget) - 1])
-            for user in users:
-                if not sim.ledger.is_blocked(user, item):
-                    sim.recommend(user, item, "exploit")
-                else:
-                    sim.recommend(user, sim.any_unblocked(user, active), "filler")
-        t0 += n_rounds
-        t_exploit += n_rounds
-        active = active[~np.isin(active, s_items)]
-    return active, t0, t_exploit
-
-
-def _fill(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
-          rng: np.random.Generator) -> None:
-    horizon = sim.instance.horizon
-    for user in users:
-        for _ in range(t0, horizon):
-            cand = sim.unblocked_in(user, active)
-            item = int(rng.choice(cand)) if cand.size else sim.any_unblocked(user, active)
-            sim.recommend(user, item, "fill")
-
-
-@dataclass
-class _Task:
-    level: int
-    users: np.ndarray
-    active: np.ndarray
-    t0: int
-    t_exploit: int
-    eps: float
-
-
 def run_item_phased(sim: Simulation, cfg: ItemPhasedConfig,
                     rng: np.random.Generator) -> RunReport:
     """Run the item-clustered phased policy; ``sim`` must use the reusable
     (single-counter) ledger."""
     if not sim.ledger.reusable:
         raise ValueError("run_item_phased needs a reusable-ledger simulation")
-    inst = sim.instance
-    horizon = inst.horizon
-    p_tilde = np.zeros((inst.n_users, inst.n_items))
-    report = RunReport()
-    tasks = [_Task(1, np.arange(inst.n_users), np.arange(inst.n_items),
-                   0, 0, cfg.initial_accuracy())]
-    while tasks:
-        task = tasks.pop(0)
-        if task.t0 >= horizon:
-            continue
-        eps_next = task.eps / 2
-        c_gap = ACCURACY_TO_GAP * cfg.n_clusters
-        delta_l = cfg.reward_ceiling if task.level == 1 else task.eps / c_gap
-        delta_next = eps_next / c_gap
-        record = PhaseRecord(level=task.level, users=task.users,
-                             active_before=task.active,
-                             active_after_exploit=task.active)
-        report.records.append(record)
 
-        active, t0, t_exploit = _exploit_expanding(
-            sim, task.users, task.active, task.t0, task.t_exploit, p_tilde,
-            delta_l, delta_next, cfg)
-        record.active_after_exploit = active
-        if t0 >= horizon:
-            continue
-        if active.size == 0:
-            _fill(sim, task.users, np.arange(inst.n_items), t0, rng)
-            continue
+    def expand(active, est, seed, delta):
+        labels = item_components(est, ITEM_EDGE_FACTOR * cfg.n_clusters * delta)
+        return _closure(active, labels, seed)
 
-        p_raw = sampling_prob(len(task.users), len(active), delta_next,
-                              cfg.sigma, cfg.mu_bound, cfg.sampling_c)
-        p = max(p_raw, exploration_floor(len(task.users), len(active),
-                                         cfg.mu_bound, cfg.n_clusters,
-                                         cfg.floor_c))
-        record.sampling_p = p
-        deep = task.level >= cfg.max_phases
-        if active.size >= horizon ** (1 / 3) and p < 1 and not deep:
-            block, t0 = _explore_reusing(sim, task.users, active, t0, p, cfg, rng)
-            record.explored = block is not None
-            if block is not None:
-                p_tilde[np.ix_(task.users, active)] = block
-            if t0 >= horizon:
-                continue
-            rank = golden_rank(horizon, inst.budget, t_exploit)
-            est = p_tilde[np.ix_(task.users, active)]
-            order = np.sort(est, axis=1)[:, ::-1]
-            idx = max(min(rank, active.size), 1) - 1
-            cutoffs = order[:, idx]
-            good = est >= (cutoffs[:, None] - EDGE_FACTOR * delta_next)
-            comps = similarity_components(est, EDGE_FACTOR * delta_next)
-            for comp in comps:
-                comp_users = task.users[comp]
-                record.components.append(comp_users)
-                seed = active[np.flatnonzero(good[comp].any(axis=0))]
-                labels = item_components(
-                    est[comp], ITEM_EDGE_FACTOR * cfg.n_clusters * delta_next)
-                joint = _closure(active, labels, seed)
-                tasks.append(_Task(task.level + 1, comp_users, joint, t0,
-                                   t_exploit, eps_next))
-        else:
-            _fill(sim, task.users, active, t0, rng)
-    return report
-
-
-def default_config(sim: Simulation, **overrides) -> ItemPhasedConfig:
-    inst = sim.instance
-    sigma = inst.noise.sigma if inst.noise.kind == "gaussian" else 1.0
-    base = ItemPhasedConfig(n_clusters=inst.n_clusters, sigma=sigma,
-                            reward_ceiling=inst.reward_ceiling)
-    return replace(base, **overrides) if overrides else base
+    return phased._run(sim, cfg, rng, expand)

@@ -9,12 +9,15 @@ completion to halve the estimate error; (3) users are re-partitioned by the
 connected components of a similarity graph on estimated rows, and each part
 keeps only items close to its users' remaining golden ranks.  Groups evolve
 asynchronously; two count matrices guarantee no pair ever exceeds budget B
-and no observation is consumed by more than one estimation call.
+and no observation is consumed by more than one estimation call.  The
+item-clustered variant (:mod:`item_phased`) runs the same task loop with a
+reusable ledger and an item-closure hook.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -42,6 +45,10 @@ __all__ = [
 ACCURACY_TO_GAP = 88
 EXPLOIT_GAP_FACTOR = 64
 EDGE_FACTOR = 2
+
+# Item-set hook of the task loop: (active items, estimate rows of the group
+# over them, selected items, delta) -> the items to use in their place.
+Expand = Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -178,28 +185,23 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     for lu, user in enumerate(users):
         queue = per_user[lu]
         in_omega = {int(active[lj]) for lj in queue}
-        used = 0
         for lj in queue[: m]:
             item = int(active[lj])
             if not sim.ledger.is_blocked(user, item):
-                value, event_id = sim.recommend(user, item, "explore",
-                                                consumable=True)
-                omega_rows.append(lu)
-                omega_cols.append(int(lj))
-                values.append(value)
-                consumed_ids.append(event_id)
+                obs = sim.recommend(user, item, "explore", consumable=True)
             else:
-                if sim.ledger.has_reusable(user, item):
-                    value, event_id = sim.reuse_observation(user, item)
-                    omega_rows.append(lu)
-                    omega_cols.append(int(lj))
-                    values.append(value)
-                    consumed_ids.append(event_id)
-                # else: the pair is dropped from the completion problem
+                # a blocked pair contributes a stored observation if it has
+                # one, else it is dropped from the completion problem
+                obs = sim.reuse_observation(user, item) \
+                    if sim.ledger.has_reusable(user, item) else None
                 filler = _pick_filler(sim, user, active, in_omega, rng)
                 sim.recommend(user, filler, "filler")
-            used += 1
-        for _ in range(m - used):
+            if obs is not None:
+                omega_rows.append(lu)
+                omega_cols.append(int(lj))
+                values.append(obs[0])
+                consumed_ids.append(obs[1])
+        for _ in range(m - len(queue)):  # empty when the queue fills m
             filler = _pick_filler(sim, user, active, in_omega, rng)
             sim.recommend(user, filler, "filler")
 
@@ -214,17 +216,24 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     return result.matrix, t_new
 
 
+def _keep(active: np.ndarray, est: np.ndarray, seed: np.ndarray,
+          delta: float) -> np.ndarray:
+    """Identity item expansion: the selected items stay as they are."""
+    return seed
+
+
 def _exploit(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
              t_exploit: int, p_tilde: np.ndarray, delta_l: float,
-             delta_next: float, cfg: PhasedConfig,
+             delta_next: float, cfg: PhasedConfig, expand: Expand = _keep,
              ) -> tuple[np.ndarray, int, int, list[int]]:
     """Exploit component: recommend certified golden items B times each.
 
     While some user's estimated gap between its best active item and the item
     at the remaining-golden rank exceeds the certification threshold, the
-    union of items within EDGE_FACTOR * delta_next of each user's top is
-    recommended B times to every group user (blocked pairs fall back to the
-    lowest-index unblocked active item), then pruned from the active set.
+    union of items within EDGE_FACTOR * delta_next of each user's top,
+    widened by ``expand``, is recommended B times to every group user
+    (blocked pairs fall back to the lowest-index unblocked active item), then
+    pruned from the active set.
     """
     inst = sim.instance
     horizon, budget = inst.horizon, inst.budget
@@ -243,7 +252,8 @@ def _exploit(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
             break
         tops = order[:, 0]
         near_top = est >= tops[:, None] - EDGE_FACTOR * delta_next
-        s_items = active[np.flatnonzero(near_top.any(axis=0))]
+        seed = active[np.flatnonzero(near_top.any(axis=0))]
+        s_items = expand(active, est, seed, delta_next)
         n_rounds = min(len(s_items) * budget, horizon - t0)
         for step in range(1, n_rounds + 1):
             item = int(s_items[math.ceil(step / budget) - 1])
@@ -274,6 +284,13 @@ def _fill_until_end(sim: Simulation, users: np.ndarray, active: np.ndarray,
 def run_phased(sim: Simulation, cfg: PhasedConfig,
                rng: np.random.Generator) -> RunReport:
     """Run the full phased policy on ``sim`` until every user has T rounds."""
+    return _run(sim, cfg, rng, _keep)
+
+
+def _run(sim: Simulation, cfg: PhasedConfig, rng: np.random.Generator,
+         expand: Expand) -> RunReport:
+    """The phased task loop; ``expand`` widens every item set it selects
+    (certified golden items, and each component's next active set)."""
     inst = sim.instance
     horizon = inst.horizon
     p_tilde = np.zeros((inst.n_users, inst.n_items))
@@ -296,7 +313,7 @@ def run_phased(sim: Simulation, cfg: PhasedConfig,
 
         active, t0, t_exploit, _ = _exploit(
             sim, task.users, task.active, task.t0, task.t_exploit,
-            p_tilde, delta_l, delta_next, cfg)
+            p_tilde, delta_l, delta_next, cfg, expand)
         record.active_after_exploit = active
         if t0 >= horizon:
             continue
@@ -328,7 +345,8 @@ def run_phased(sim: Simulation, cfg: PhasedConfig,
             for comp in comps:
                 comp_users = task.users[comp]
                 record.components.append(comp_users)
-                joint = active[np.flatnonzero(good[comp].any(axis=0))]
+                seed = active[np.flatnonzero(good[comp].any(axis=0))]
+                joint = expand(active, est[comp], seed, delta_next)
                 tasks.append(_Task(level=task.level + 1, users=comp_users,
                                    active=joint, t0=t0, t_exploit=t_exploit,
                                    eps=eps_next))
@@ -340,7 +358,6 @@ def run_phased(sim: Simulation, cfg: PhasedConfig,
 def default_config(sim: Simulation, **overrides) -> PhasedConfig:
     """Config with instance-derived defaults (rank, noise scale, reward scale)."""
     inst = sim.instance
-    sigma = inst.noise.sigma if inst.noise.kind == "gaussian" else 1.0
-    base = PhasedConfig(n_clusters=inst.n_clusters, sigma=sigma,
+    base = PhasedConfig(n_clusters=inst.n_clusters, sigma=inst.noise.scale,
                         reward_ceiling=inst.reward_ceiling)
     return replace(base, **overrides) if overrides else base

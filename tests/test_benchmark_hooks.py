@@ -1,0 +1,38 @@
+"""The benchmark's traced run patches names in the package by attribute.
+
+`perfbench/layers.py` wraps functions in the modules that look them up
+(``item_phased.estimate``, ``phased.run_phased``, ...).  A refactor that
+removes or renames one of them breaks the traced run, so installing and
+uninstalling the tracer is checked here.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from blockedbandits import item_phased, phased
+
+LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+
+
+def _load_layers():
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_and_restores_every_name():
+    originals = (np.linalg.svd, phased.run_phased, item_phased.run_item_phased,
+                 item_phased.estimate, item_phased.similarity_components)
+    tracer = _load_layers().Tracer()
+    try:
+        tracer.install()
+        assert item_phased.run_item_phased is not originals[2]
+    finally:
+        tracer.uninstall()
+    assert (np.linalg.svd, phased.run_phased, item_phased.run_item_phased,
+            item_phased.estimate, item_phased.similarity_components) == originals

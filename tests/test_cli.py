@@ -71,6 +71,27 @@ class TestCommands:
     def test_missing_file_is_config_error(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("diag", "M", "abc"), ("diag", "noise", 5),
+        ("run", "users", 0), ("run", "budget", 0)])
+    def test_bad_value_is_config_error(self, tmp_path, capsys, command, key,
+                                       value):
+        if command == "diag":
+            inst = generate_instance(
+                GeneratorSpec(name="custom", n_users=6, n_items=8,
+                              n_clusters=1, horizon=4, budget=1), seed=0)
+            doc = json.loads(instance_to_json(inst))
+            doc[key] = value
+        else:
+            doc = json.loads(json.dumps(RUN_DOC))
+            doc["dataset"][key] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(doc))
+        argv = ["diag", str(path)] if command == "diag" else \
+            ["run", "--config", str(path), "--out-dir", str(tmp_path), "--quiet"]
+        assert main(argv) == 1
+        assert "kind=config" in capsys.readouterr().err
+
     def test_diag_single_cluster_kappa_one(self, tmp_path, capsys):
         inst = generate_instance(
             GeneratorSpec(name="custom", n_users=6, n_items=8, n_clusters=1,
