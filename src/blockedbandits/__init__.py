@@ -13,9 +13,8 @@ from .env import (
     instance_from_json,
     instance_to_json,
     mean_reward_matrix,
-    sample_reward,
 )
-from .harness import ALGORITHMS, RegretTrace, SweepSpec, build_trace, regret, run_algorithm, sweep
+from .harness import ALGORITHMS, RegretTrace, SweepSpec, build_trace, run_algorithm, sweep
 
 __all__ = [
     "ALGORITHMS",
@@ -34,9 +33,7 @@ __all__ = [
     "instance_from_json",
     "instance_to_json",
     "mean_reward_matrix",
-    "regret",
     "run_algorithm",
-    "sample_reward",
     "sweep",
 ]
 

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +17,6 @@ import numpy as np
 from .completion import diagnostics
 from .env import ConfigurationError, GeneratorSpec, NoiseModel, instance_from_json
 from .harness import (
-    ALGORITHMS,
     SweepSpec,
     aggregate,
     summary_json,
@@ -27,109 +24,75 @@ from .harness import (
     write_csv,
 )
 
-_DATASET_KEYS = {"name", "users", "items", "clusters", "horizon", "budget",
-                 "v_law", "v_scale", "noise", "item_clusters"}
+# dataset key -> (GeneratorSpec field, type); absent keys take its defaults
+_DATASET_FIELDS = {
+    "name": ("name", str), "users": ("n_users", int),
+    "items": ("n_items", int), "clusters": ("n_clusters", int),
+    "horizon": ("horizon", int), "budget": ("budget", int),
+    "v_law": ("v_law", str), "v_scale": ("v_scale", float),
+    "item_clusters": ("item_clusters", int),
+}
+_DATASET_KEYS = set(_DATASET_FIELDS) | {"noise"}
 _NOISE_KEYS = {"kind", "sigma"}
 _ALGO_KEYS = {"name", "params"}
 _RUN_KEYS = {"dataset", "algorithm", "algorithms", "seeds", "out_dir"}
+_SWEEP_KEYS = {"datasets", "algorithms", "seeds", "out_dir"}
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = set(doc) - allowed
+def _object(doc, where: str) -> dict:
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{where} must be a JSON object, got {doc!r}")
+    return doc
+
+
+def _reject_unknown(doc, allowed: set[str], where: str) -> None:
+    unknown = set(_object(doc, where)) - allowed
     if unknown:
         raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
+def _convert(convert, value, where: str):
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"invalid {where}: {value!r}") from exc
+
+
+def _entries(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where} must be a list, got {value!r}")
+    return value
+
+
 def parse_dataset(doc: dict) -> GeneratorSpec:
     _reject_unknown(doc, _DATASET_KEYS, "dataset")
-    noise_doc = doc.get("noise")
-    kwargs = dict(
-        name=doc.get("name", "custom"),
-        n_users=int(doc.get("users", 150)),
-        n_items=int(doc.get("items", 150)),
-        n_clusters=int(doc.get("clusters", 4)),
-        horizon=int(doc.get("horizon", 60)),
-        budget=int(doc.get("budget", 1)),
-        v_law=doc.get("v_law", "uniform"),
-        v_scale=float(doc.get("v_scale", 5.0)),
-        item_clusters=doc.get("item_clusters"),
-    )
-    if noise_doc is not None:
-        _reject_unknown(noise_doc, _NOISE_KEYS, "dataset.noise")
-        kwargs["noise"] = NoiseModel(noise_doc["kind"],
-                                     float(noise_doc.get("sigma", 0.0)))
+    kwargs = {}
+    for key, value in doc.items():
+        if key == "noise":
+            _reject_unknown(value, _NOISE_KEYS, "dataset.noise")
+            kwargs["noise"] = NoiseModel(
+                value.get("kind"),
+                _convert(float, value.get("sigma", 0.0), "dataset.noise.sigma"))
+        elif not (key == "item_clusters" and value is None):
+            field, convert = _DATASET_FIELDS[key]
+            kwargs[field] = _convert(convert, value, f"dataset.{key}")
     return GeneratorSpec(**kwargs)
 
 
-def dataset_doc(spec: GeneratorSpec) -> dict:
-    # serialised as-declared, not resolved, for round-trip fidelity
-    return {
-        "name": spec.name, "users": spec.n_users, "items": spec.n_items,
-        "clusters": spec.n_clusters, "horizon": spec.horizon,
-        "budget": spec.budget, "v_law": spec.v_law, "v_scale": spec.v_scale,
-        "noise": {"kind": spec.noise.kind, "sigma": spec.noise.sigma},
-        "item_clusters": spec.item_clusters,
-    }
+def _seed_list(value) -> list[int]:
+    """An integer n means seeds 0..n-1; otherwise an explicit list."""
+    return list(range(value)) if isinstance(value, int) else [int(s) for s in value]
 
 
-@dataclass
-class RunConfig:
-    dataset: GeneratorSpec
-    algorithms: list[tuple[str, str, dict]]  # (label, registry name, params)
-    seeds: list[int] = field(default_factory=lambda: [0])
-    out_dir: str | None = None
-
-    @staticmethod
-    def from_doc(doc: dict) -> "RunConfig":
-        _reject_unknown(doc, _RUN_KEYS, "run config")
-        if "dataset" not in doc:
-            raise ConfigurationError("run config needs a 'dataset' section")
-        dataset = parse_dataset(doc["dataset"])
-        algo_docs = doc.get("algorithms")
-        if algo_docs is None:
-            if "algorithm" not in doc:
-                raise ConfigurationError("run config needs an 'algorithm' section")
-            algo_docs = [doc["algorithm"]]
-        algorithms = []
-        for adoc in algo_docs:
-            _reject_unknown(adoc, _ALGO_KEYS, "algorithm")
-            name = adoc.get("name")
-            if name not in ALGORITHMS:
-                raise ConfigurationError(
-                    f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}")
-            params = adoc.get("params", {}) or {}
-            label = name if not params else name + "-" + "-".join(
-                f"{k}{v}" for k, v in sorted(params.items()))
-            algorithms.append((label, name, params))
-        seeds = doc.get("seeds", [0])
-        if isinstance(seeds, int):
-            seeds = list(range(seeds))
-        return RunConfig(dataset=dataset, algorithms=algorithms,
-                         seeds=[int(s) for s in seeds],
-                         out_dir=doc.get("out_dir"))
-
-    def to_doc(self) -> dict:
-        return {
-            "dataset": dataset_doc(self.dataset),
-            "algorithms": [{"name": name, "params": params}
-                           for _, name, params in self.algorithms],
-            "seeds": self.seeds,
-            "out_dir": self.out_dir,
-        }
-
-    @staticmethod
-    def from_json(text: str) -> "RunConfig":
-        return RunConfig.from_doc(json.loads(text))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_doc(), indent=2)
-
-
-def _threads(args) -> int:
-    env = os.environ.get("BB_THREADS")
-    if env is not None:
-        return max(1, int(env))
-    return max(1, args.threads)
+def _parse_algorithm(doc: dict, allowed: set[str]) -> tuple[str, str, dict]:
+    """(label, name, params); without a label, the name plus -<key><value>
+    for each param in key order."""
+    _reject_unknown(doc, allowed, "algorithm")
+    name = doc.get("name")
+    params = _object(doc.get("params") or {}, "algorithm params")
+    label = doc.get("label", f"{name}" + "".join(
+        f"-{k}{v}" for k, v in sorted(params.items())))
+    return label, name, params
 
 
 def _emit(results, out_dir: Path, stem: str, quiet: bool) -> None:
@@ -148,44 +111,45 @@ def _emit(results, out_dir: Path, stem: str, quiet: bool) -> None:
         raise RuntimeError(f"{len(failed)} cell(s) failed: {failed[0].error}")
 
 
-def cmd_run(args) -> int:
-    cfg = RunConfig.from_json(Path(args.config).read_text())
+def _run_grid(args, doc: dict, datasets: list, algo_docs: list,
+              algo_keys: set[str], stem: str) -> int:
+    """The part `run` and `sweep` share: algorithms, seeds, output."""
+    algorithms = [_parse_algorithm(a, algo_keys)
+                  for a in _entries(algo_docs, "algorithms")]
+    seeds = _convert(_seed_list, doc.get("seeds", [0]), "seeds")
     if args.seeds is not None:
-        cfg.seeds = list(range(args.seeds))
-    out_dir = Path(args.out_dir or cfg.out_dir or ".")
-    spec = SweepSpec.make([("dataset", cfg.dataset)], cfg.algorithms, cfg.seeds)
-    results = sweep(spec, threads=_threads(args))
-    _emit(results, out_dir, "run", args.quiet)
+        seeds = list(range(args.seeds))
+    spec = SweepSpec.make(datasets, algorithms, seeds)
+    out_dir = _convert(Path, args.out_dir or doc.get("out_dir") or ".", "out_dir")
+    _emit(sweep(spec, threads=max(1, args.threads)), out_dir, stem, args.quiet)
     return 0
+
+
+def cmd_run(args) -> int:
+    """A sweep over the one dataset, labelled "dataset"."""
+    doc = json.loads(Path(args.config).read_text())
+    _reject_unknown(doc, _RUN_KEYS, "run config")
+    if "dataset" not in doc:
+        raise ConfigurationError("run config needs a 'dataset' section")
+    algo_docs = doc.get("algorithms")
+    if algo_docs is None:
+        if "algorithm" not in doc:
+            raise ConfigurationError("run config needs an 'algorithm' section")
+        algo_docs = [doc["algorithm"]]
+    return _run_grid(args, doc, [("dataset", parse_dataset(doc["dataset"]))],
+                     algo_docs, _ALGO_KEYS, "run")
 
 
 def cmd_sweep(args) -> int:
     doc = json.loads(Path(args.config).read_text())
-    _reject_unknown(doc, {"datasets", "algorithms", "seeds", "out_dir"}, "sweep config")
+    _reject_unknown(doc, _SWEEP_KEYS, "sweep config")
     datasets = []
-    for entry in doc.get("datasets", []):
+    for entry in _entries(doc.get("datasets", []), "datasets"):
         _reject_unknown(entry, _DATASET_KEYS | {"label"}, "sweep dataset")
         label = entry.pop("label", entry.get("name", "dataset"))
         datasets.append((label, parse_dataset(entry)))
-    algorithms = []
-    for adoc in doc.get("algorithms", []):
-        _reject_unknown(adoc, _ALGO_KEYS | {"label"}, "sweep algorithm")
-        name = adoc.get("name")
-        if name not in ALGORITHMS:
-            raise ConfigurationError(f"unknown algorithm {name!r}")
-        algorithms.append((adoc.get("label", name), name, adoc.get("params", {}) or {}))
-    seeds = doc.get("seeds", [0])
-    if isinstance(seeds, int):
-        seeds = list(range(seeds))
-    if args.seeds is not None:
-        seeds = list(range(args.seeds))
-    if not datasets or not algorithms or not seeds:
-        raise ConfigurationError("sweep needs datasets, algorithms and seeds")
-    out_dir = Path(args.out_dir or doc.get("out_dir") or ".")
-    results = sweep(SweepSpec.make(datasets, algorithms, seeds),
-                    threads=_threads(args))
-    _emit(results, out_dir, "sweep", args.quiet)
-    return 0
+    return _run_grid(args, doc, datasets, doc.get("algorithms", []),
+                     _ALGO_KEYS | {"label"}, "sweep")
 
 
 PLOT_SCRIPT = """\
@@ -252,7 +216,7 @@ def cmd_paperfig(args) -> int:
     seeds = list(range(args.seeds if args.seeds is not None else 5))
     out_dir = Path(args.out_dir or ".")
     results = sweep(SweepSpec.make([(name, spec)], algorithms, seeds),
-                    threads=_threads(args))
+                    threads=max(1, args.threads))
     stem = f"paperfig_{name}"
     _emit(results, out_dir, stem, args.quiet)
     script = out_dir / f"plot_{stem}.py"

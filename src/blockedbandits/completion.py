@@ -22,9 +22,7 @@ __all__ = [
     "solve_block",
     "estimate",
     "partition_count",
-    "dump_problem",
     "diagnostics",
-    "subset_floor_sample",
 ]
 
 # Regularisation floor used when sigma == 0 but the mask is partial: with
@@ -247,20 +245,6 @@ def estimate(n_rows: int, n_cols: int, omega: np.ndarray, values: np.ndarray,
     return EstimateResult(out, empty_blocks=empty, converged=all_converged)
 
 
-def dump_problem(prob: CompletionProblem, matrix: np.ndarray, path: str) -> None:
-    """Debug dump of (observations, values, estimate) for solver regression
-    fixtures."""
-    import json
-
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({
-            "n_rows": prob.n_rows, "n_cols": prob.n_cols,
-            "omega": prob.omega.tolist(), "values": prob.values.tolist(),
-            "rank": prob.rank, "sigma": prob.sigma,
-            "estimate": matrix.tolist(),
-        }, fh)
-
-
 # -- instance diagnostics ----------------------------------------------------
 
 
@@ -303,20 +287,3 @@ def diagnostics(rewards: np.ndarray, cluster_of: np.ndarray) -> Diagnostics:
     return Diagnostics(mu_row=mu_row, mu_col=mu_col, kappa=kappa, tau=tau,
                        singular_values=s)
 
-
-def subset_floor_sample(factor: np.ndarray, subset_size: int,
-                        n_samples: int, rng: np.random.Generator) -> float:
-    """Sampled lower bound on the row-subset singular-value floor.
-
-    Draws ``n_samples`` random row subsets of the given singular factor and
-    returns the smallest value of lam_min(V_S)^2 * (n / |S|).  Exhaustive
-    verification over all subsets is exponential; this is a spot check only.
-    """
-    n = factor.shape[0]
-    subset_size = min(max(subset_size, factor.shape[1]), n)
-    worst = np.inf
-    for _ in range(n_samples):
-        sel = rng.choice(n, size=subset_size, replace=False)
-        s = np.linalg.svd(factor[sel], compute_uv=False)
-        worst = min(worst, float(s[-1] ** 2) * n / subset_size)
-    return worst

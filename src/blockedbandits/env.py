@@ -26,7 +26,6 @@ __all__ = [
     "GeneratorSpec",
     "Instance",
     "generate_instance",
-    "sample_reward",
     "mean_reward_matrix",
     "BlockingLedger",
     "Event",
@@ -112,6 +111,10 @@ class GeneratorSpec:
             raise ConfigurationError("more clusters than users")
         if self.n_items * self.budget < self.horizon:
             raise ConfigurationError("infeasible: N*B < T")
+        if self.name not in ("custom", "d1", "d2", "d3"):
+            raise ConfigurationError(f"unknown dataset {self.name!r}")
+        if self.name == "custom" and self.v_law not in ("normal", "uniform", "grid"):
+            raise ConfigurationError(f"unknown item-factor law {self.v_law!r}")
 
     def resolved(self) -> "GeneratorSpec":
         if self.name == "custom":
@@ -122,10 +125,8 @@ class GeneratorSpec:
         if self.name == "d2":
             return replace(self, v_law="uniform", v_scale=5.0,
                            noise=NoiseModel("gaussian", 0.5))
-        if self.name == "d3":
-            return replace(self, v_law="grid", v_scale=1.0,
-                           noise=NoiseModel("sign"))
-        raise ConfigurationError(f"unknown dataset {self.name!r}")
+        return replace(self, v_law="grid", v_scale=1.0,  # d3
+                       noise=NoiseModel("sign"))
 
 
 @dataclass(frozen=True)
@@ -168,10 +169,8 @@ def _draw_factor(law: str, scale: float, shape: tuple[int, int],
         return rng.normal(0.0, scale, size=shape)
     if law == "uniform":
         return rng.uniform(0.0, scale, size=shape)
-    if law == "grid":
-        grid = np.linspace(0.05, 0.95, 10)
-        return rng.choice(grid, size=shape)
-    raise ConfigurationError(f"unknown item-factor law {law!r}")
+    grid = np.linspace(0.05, 0.95, 10)  # the "grid" law
+    return rng.choice(grid, size=shape)
 
 
 def generate_instance(spec: GeneratorSpec, seed: int) -> Instance:
@@ -196,15 +195,6 @@ def generate_instance(spec: GeneratorSpec, seed: int) -> Instance:
         noise=spec.noise, item_cluster_of=item_cluster_of)
 
 
-def sample_reward(inst: Instance, user: int, item: int,
-                  rng: np.random.Generator) -> float:
-    """One noisy observation for (user, item)."""
-    mean = inst.rewards[user, item]
-    if inst.noise.kind == "gaussian":
-        return float(mean + rng.normal(0.0, inst.noise.sigma))
-    return 1.0 if rng.random() < mean else -1.0
-
-
 def mean_reward_matrix(inst: Instance) -> np.ndarray:
     """Expected value of the observation process; the regret target.
 
@@ -217,67 +207,52 @@ def mean_reward_matrix(inst: Instance) -> np.ndarray:
 
 
 class BlockingLedger:
-    """Per-(user, item) budget counters and the reusable-observation store.
+    """Per-(user, item) budget counter and the reusable-observation store.
 
-    ``consumed[u, j]`` counts recommendations whose observation has been fed
-    to an estimation call; ``stored[u, j]`` counts those whose observation is
-    still unconsumed and can be reused once.  Their sum never exceeds the
-    budget.  ``reusable=True`` switches to the single-counter regime of the
-    item-clustered variant, where every observation is kept forever and may
-    feed any number of estimates.
+    ``counts[u, j]`` counts every recommendation of the pair, whether its
+    observation was fed to an estimation call at once or stored for reuse;
+    it never exceeds the budget.  ``stored[(u, j)]`` lists the pair's stored
+    (value, event_id) observations.  In strict mode each is consumed once,
+    most recent first.  ``reusable=True`` is the regime of the item-clustered
+    variant, where every observation is kept forever and may feed any number
+    of estimates.
     """
 
     def __init__(self, n_users: int, n_items: int, budget: int,
                  reusable: bool = False):
         self.budget = budget
         self.reusable = reusable
-        self.consumed = np.zeros((n_users, n_items), dtype=np.uint32)
-        self.stored = np.zeros((n_users, n_items), dtype=np.uint32)
-        # strict mode: stack of (value, event_id) not yet consumed
-        self.pending: dict[tuple[int, int], list[tuple[float, int]]] = {}
-        # reusable mode: permanent (value, event_id) per pair
-        self.archive: dict[tuple[int, int], tuple[float, int]] = {}
+        self.counts = np.zeros((n_users, n_items), dtype=np.uint32)
+        self.stored: dict[tuple[int, int], list[tuple[float, int]]] = {}
 
     def count(self, user: int, item: int) -> int:
-        return int(self.consumed[user, item] + self.stored[user, item])
+        return int(self.counts[user, item])
 
     def counts_row(self, user: int) -> np.ndarray:
-        return self.consumed[user] + self.stored[user]
+        """Read-only use: a view of the ledger's own row."""
+        return self.counts[user]
 
     def is_blocked(self, user: int, item: int) -> bool:
         return self.count(user, item) >= self.budget
 
     def max_pair_count(self) -> int:
-        return int((self.consumed + self.stored).max())
+        return int(self.counts.max())
 
     def record(self, user: int, item: int, value: float, event_id: int,
                consumable: bool) -> None:
         if self.count(user, item) >= self.budget:
             raise BudgetError(f"budget exhausted for user {user}, item {item}")
-        if self.reusable:
-            self.consumed[user, item] += 1
-            self.archive[(user, item)] = (value, event_id)
-        elif consumable:
-            self.consumed[user, item] += 1
-        else:
-            self.stored[user, item] += 1
-            self.pending.setdefault((user, item), []).append((value, event_id))
+        self.counts[user, item] += 1
+        if self.reusable or not consumable:
+            self.stored.setdefault((user, item), []).append((value, event_id))
 
     def has_reusable(self, user: int, item: int) -> bool:
-        if self.reusable:
-            return (user, item) in self.archive
-        return bool(self.pending.get((user, item)))
+        return bool(self.stored.get((user, item)))
 
     def take_reusable(self, user: int, item: int) -> tuple[float, int]:
-        """Consume one stored observation (most recent first, strict mode)."""
-        if self.reusable:
-            return self.archive[(user, item)]
-        value, event_id = self.pending[(user, item)].pop()
-        if not self.pending[(user, item)]:
-            del self.pending[(user, item)]
-        self.stored[user, item] -= 1
-        self.consumed[user, item] += 1
-        return value, event_id
+        """The most recent stored observation; strict mode consumes it."""
+        observations = self.stored[(user, item)]
+        return observations[-1] if self.reusable else observations.pop()
 
 
 @dataclass

@@ -14,7 +14,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "CellResult",
     "build_trace",
     "trace_from_items",
-    "regret",
     "oracle_prefix_values",
     "run_algorithm",
     "sweep",
@@ -83,13 +82,6 @@ def build_trace(sim: Simulation) -> RegretTrace:
     return trace_from_items(sim.choice_matrix(), sim.instance)
 
 
-def regret(trace: RegretTrace, inst: Instance) -> float:
-    """End-of-horizon average regret of a complete trace."""
-    if trace.items.shape != (inst.n_users, inst.horizon):
-        raise ValueError("trace does not match the instance dimensions")
-    return trace.final_regret
-
-
 # -- algorithm registry -------------------------------------------------------
 
 
@@ -133,13 +125,36 @@ ALGORITHMS = {
     "random": _run_random,
 }
 
+# the config dataclass whose fields are an algorithm's params; None: no params
+_PARAMS = {
+    "phased": phased.PhasedConfig,
+    "item-phased": phased.PhasedConfig,
+    "practical": baselines.PracticalConfig,
+    "etc": baselines.EtcConfig,
+    "collab-greedy": baselines.CollabGreedyConfig,
+    "oracle": None,
+    "random": None,
+}
+
+
+def _check_algorithm(name: str, params) -> None:
+    """Reject an unregistered algorithm name or a param its config lacks."""
+    if name not in ALGORITHMS:
+        raise ConfigurationError(
+            f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}")
+    config = _PARAMS[name]
+    known = {f.name for f in fields(config)} if config else set()
+    unknown = sorted(set(dict(params or {})) - known)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown param(s) for {name}: {unknown}; known: {sorted(known)}")
+
 
 def run_algorithm(inst: Instance, name: str, seed: int,
                   params: dict | None = None) -> tuple[RegretTrace, Simulation]:
     """One complete run; decision randomness comes from a per-algorithm
     stream so policies compared under one seed share instance and noise."""
-    if name not in ALGORITHMS:
-        raise ConfigurationError(f"unknown algorithm {name!r}")
+    _check_algorithm(name, params)
     sim = Simulation(inst, seed, reusable_ledger=(name == "item-phased"))
     rng = stream(seed, f"decisions:{name}")
     ALGORITHMS[name](sim, rng, **(params or {}))
@@ -149,8 +164,20 @@ def run_algorithm(inst: Instance, name: str, seed: int,
 # -- sweeps -------------------------------------------------------------------
 
 
+def _check_labels(labels: list, what: str) -> None:
+    # a repeated label would merge two grid rows in the CSV and the summary
+    if not all(isinstance(label, str) for label in labels) \
+            or len(set(labels)) < len(labels):
+        raise ConfigurationError(f"{what} labels must be distinct strings, "
+                                 f"got {labels}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
+    """A dataset x algorithm x seed grid, checked before any cell runs:
+    known algorithm names and params, and one label per dataset and per
+    algorithm.  Repeated seeds are allowed."""
+
     datasets: tuple[tuple[str, GeneratorSpec], ...]  # (label, spec)
     algorithms: tuple[tuple[str, str, tuple], ...]  # (label, name, params items)
     seeds: tuple[int, ...]
@@ -158,6 +185,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not (self.datasets and self.algorithms and self.seeds):
             raise ConfigurationError("sweep grid must be nonempty")
+        for _, name, params in self.algorithms:
+            _check_algorithm(name, params)
+        _check_labels([label for label, _ in self.datasets], "dataset")
+        _check_labels([label for label, _, _ in self.algorithms], "algorithm")
 
     @staticmethod
     def make(datasets, algorithms, seeds) -> "SweepSpec":

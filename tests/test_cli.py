@@ -1,12 +1,21 @@
 import json
-import os
+import re
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from blockedbandits.cli import RunConfig, main, parse_dataset
-from blockedbandits.env import ConfigurationError, GeneratorSpec, generate_instance, instance_to_json
+from blockedbandits.cli import (
+    _ALGO_KEYS,
+    _DATASET_KEYS,
+    _NOISE_KEYS,
+    _RUN_KEYS,
+    main,
+    parse_dataset,
+)
+from blockedbandits.env import GeneratorSpec, generate_instance, instance_to_json
+from blockedbandits.harness import ALGORITHMS
 
+ROOT = Path(__file__).resolve().parents[1]
 
 RUN_DOC = {
     "dataset": {"name": "d2", "users": 10, "items": 12, "clusters": 2,
@@ -15,39 +24,70 @@ RUN_DOC = {
     "seeds": 2,
 }
 
+SWEEP_DOC = {
+    "datasets": [{"label": "tiny", "name": "d2", "users": 8, "items": 10,
+                  "clusters": 2, "horizon": 5, "budget": 1}],
+    "algorithms": [{"name": "random"}, {"name": "oracle"}],
+    "seeds": 2,
+}
+
+
+def run_cli(tmp_path, command, doc, *extra):
+    """Run `command` on config `doc`; outputs go to tmp_path / "out"."""
+    path = tmp_path / f"{command}.json"
+    path.write_text(json.dumps(doc))
+    return main([command, "--config", str(path), "--out-dir",
+                 str(tmp_path / "out"), "--quiet", *extra])
+
+
+def edited(doc, edit):
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return doc
+
 
 class TestConfig:
-    def test_round_trip_identity(self):
-        cfg = RunConfig.from_doc(RUN_DOC)
-        again = RunConfig.from_json(cfg.to_json())
-        assert again.to_doc() == cfg.to_doc()
+    def test_unknown_top_level_key_rejected(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "run", dict(RUN_DOC, extra=1)) == 1
+        assert "extra" in capsys.readouterr().err
 
-    def test_unknown_top_level_key_rejected(self):
-        doc = dict(RUN_DOC)
-        doc["extra"] = 1
-        with pytest.raises(ConfigurationError, match="extra"):
-            RunConfig.from_doc(doc)
+    def test_unknown_dataset_key_rejected(self, tmp_path, capsys):
+        doc = edited(RUN_DOC, lambda d: d["dataset"].update(rows=5))
+        assert run_cli(tmp_path, "run", doc) == 1
+        assert "rows" in capsys.readouterr().err
 
-    def test_unknown_dataset_key_rejected(self):
-        doc = json.loads(json.dumps(RUN_DOC))
-        doc["dataset"]["rows"] = 5
-        with pytest.raises(ConfigurationError, match="rows"):
-            RunConfig.from_doc(doc)
+    def test_unknown_algorithm_rejected(self, tmp_path, capsys):
+        doc = edited(RUN_DOC, lambda d: d["algorithm"].update(name="nonsense"))
+        assert run_cli(tmp_path, "run", doc) == 1
+        assert "nonsense" in capsys.readouterr().err
 
-    def test_unknown_algorithm_rejected(self):
-        doc = json.loads(json.dumps(RUN_DOC))
-        doc["algorithm"]["name"] = "nonsense"
-        with pytest.raises(ConfigurationError, match="nonsense"):
-            RunConfig.from_doc(doc)
-
-    def test_seed_count_expansion(self):
-        cfg = RunConfig.from_doc(RUN_DOC)
-        assert cfg.seeds == [0, 1]
+    def test_seed_count_expansion(self, tmp_path):
+        assert run_cli(tmp_path, "run", RUN_DOC) == 0
+        lines = (tmp_path / "out" / "run.csv").read_text().splitlines()[1:]
+        assert {line.split(",")[2] for line in lines} == {"0", "1"}
 
     def test_parse_dataset_defaults(self):
         spec = parse_dataset({"name": "d3"})
         assert isinstance(spec, GeneratorSpec)
         assert spec.resolved().noise.kind == "sign"
+
+    def test_schema_matches_reader(self):
+        schema = json.loads((ROOT / "docs" / "run_config.schema.json").read_text())
+        dataset = schema["$defs"]["dataset"]["properties"]
+        algorithm = schema["$defs"]["algorithm"]["properties"]
+        assert set(schema["properties"]) == _RUN_KEYS
+        assert set(dataset) == _DATASET_KEYS
+        assert set(dataset["noise"]["properties"]) == _NOISE_KEYS
+        assert set(algorithm) == _ALGO_KEYS
+        assert sorted(algorithm["name"]["enum"]) == sorted(ALGORITHMS)
+
+    def test_examples_validate_against_schema(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((ROOT / "docs" / "run_config.schema.json").read_text())
+        readme = (ROOT / "README.md").read_text()
+        example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+        for doc in (RUN_DOC, example):
+            jsonschema.validate(doc, schema)
 
 
 class TestCommands:
@@ -65,8 +105,41 @@ class TestCommands:
 
     def test_run_exit_code_on_bad_config(self, tmp_path):
         cfg_path = tmp_path / "bad.json"
-        cfg_path.write_text(json.dumps({"dataset": {"name": "nope"}}))
+        cfg_path.write_text(json.dumps({"dataset": {"name": "nope"},
+                                        "algorithm": {"name": "random"}}))
         assert main(["run", "--config", str(cfg_path)]) == 1
+
+    @pytest.mark.parametrize("command,edit", [
+        ("run", lambda d: d["dataset"].update(users="abc")),
+        ("run", lambda d: d["dataset"].update(noise=5)),
+        ("run", lambda d: d["dataset"].update(noise={"kind": "gaussian",
+                                                     "sigma": "x"})),
+        ("run", lambda d: d["dataset"].update(name="nope")),
+        ("run", lambda d: d["algorithm"].update(params={"bogus": 1})),
+        ("run", lambda d: d.update(algorithm={"name": "random",
+                                              "params": {"bogus": 1}})),
+        ("run", lambda d: d.update(algorithm={"name": "oracle",
+                                              "params": {"bogus": 1}})),
+        ("run", lambda d: d.update(algorithm=5)),
+        ("sweep", lambda d: d["datasets"][0].update(users="x")),
+        ("sweep", lambda d: d["datasets"][0].update(item_clusters="x")),
+        ("sweep", lambda d: d.update(seeds="ab")),
+        ("sweep", lambda d: d.update(datasets=5)),
+        ("sweep", lambda d: d["algorithms"].extend(
+            [{"name": "etc", "params": {"m_target": 2}}] * 2)),
+        ("sweep", lambda d: d.update(datasets=[
+            {"name": "d3", "users": 8, "items": 10, "horizon": 5},
+            {"name": "d3", "users": 12, "items": 10, "horizon": 5}])),
+    ], ids=["users-abc", "noise-5", "sigma-x", "dataset-name", "etc-param",
+            "random-param", "oracle-param", "algorithm-not-object",
+            "sweep-users-x", "item-clusters-x", "seeds-ab",
+            "datasets-not-list", "same-algorithm-label", "same-dataset-label"])
+    def test_bad_config_exits_before_any_cell(self, tmp_path, capsys,
+                                             command, edit):
+        base = RUN_DOC if command == "run" else SWEEP_DOC
+        assert run_cli(tmp_path, command, edited(base, edit)) == 1
+        assert "kind=config" in capsys.readouterr().err
+        assert not list(tmp_path.glob("out/*.csv"))
 
     def test_missing_file_is_config_error(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1
@@ -123,23 +196,24 @@ class TestCommands:
         assert "collab-greedy" in text
 
     def test_sweep_command(self, tmp_path):
-        doc = {
-            "datasets": [{"label": "tiny", "name": "d2", "users": 8,
-                          "items": 10, "clusters": 2, "horizon": 5,
-                          "budget": 1}],
-            "algorithms": [{"name": "random"}, {"name": "oracle"}],
-            "seeds": 2,
-        }
-        cfg = tmp_path / "sweep.json"
-        cfg.write_text(json.dumps(doc))
-        assert main(["sweep", "--config", str(cfg), "--out-dir",
-                     str(tmp_path), "--quiet"]) == 0
-        lines = (tmp_path / "sweep.csv").read_text().strip().splitlines()
+        assert run_cli(tmp_path, "sweep", SWEEP_DOC) == 0
+        lines = (tmp_path / "out" / "sweep.csv").read_text().strip().splitlines()
         assert len(lines) - 1 == 2 * 2 * 5
 
-    def test_bb_threads_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BB_THREADS", "2")
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(RUN_DOC))
-        assert main(["run", "--config", str(cfg_path), "--out-dir",
-                     str(tmp_path), "--quiet"]) == 0
+    def test_sweep_unlabelled_params_give_separate_rows(self, tmp_path):
+        doc = edited(SWEEP_DOC, lambda d: d.update(algorithms=[
+            {"name": "etc", "params": {"m_target": 2}},
+            {"name": "etc", "params": {"m_target": 4}}]))
+        assert run_cli(tmp_path, "sweep", doc) == 0
+        rows = json.loads((tmp_path / "out" / "sweep_summary.json").read_text())
+        assert [(r["algorithm"], r["n"]) for r in rows] == \
+            [("etc-m_target2", 2), ("etc-m_target4", 2)]
+
+    def test_threads_do_not_change_output(self, tmp_path):
+        doc = dict(RUN_DOC, algorithms=[{"name": "random"}, RUN_DOC["algorithm"]])
+        for threads in ("1", "2"):
+            (tmp_path / threads).mkdir()
+            assert run_cli(tmp_path / threads, "run", doc, "--threads", threads) == 0
+        for name in ("run.csv", "run_summary.json"):
+            assert (tmp_path / "1" / "out" / name).read_bytes() == \
+                (tmp_path / "2" / "out" / name).read_bytes()

@@ -8,7 +8,6 @@ from blockedbandits.completion import (
     estimate,
     partition_count,
     solve_block,
-    subset_floor_sample,
 )
 from blockedbandits.rng import stream
 
@@ -234,25 +233,3 @@ class TestDiagnostics:
                              2 * np.ones(5)])
         diag = diagnostics(rewards, cluster_of)
         assert diag.tau == 3.0
-
-    def test_subset_floor_sample_orthonormal(self):
-        g = np.random.default_rng(10)
-        v, _ = np.linalg.qr(g.normal(size=(50, 2)))
-        floor = subset_floor_sample(v, subset_size=10, n_samples=50,
-                                    rng=stream(0, "s"))
-        assert 0 < floor <= 50 / 10 + 1e-9
-
-
-def test_debug_dump_round_trips(tmp_path):
-    import json
-
-    from blockedbandits.completion import dump_problem
-
-    truth = incoherent_low_rank(8, 2, seed=11)
-    prob = masked_problem(truth, 0.7, 0.05, seed=11)
-    res = solve_block(prob, SolverConfig())
-    path = tmp_path / "fixture.json"
-    dump_problem(prob, res.matrix, str(path))
-    doc = json.loads(path.read_text())
-    assert doc["n_rows"] == 8 and len(doc["omega"]) == len(prob.omega)
-    assert np.allclose(doc["estimate"], res.matrix)

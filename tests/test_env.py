@@ -14,7 +14,6 @@ from blockedbandits.env import (
     instance_from_json,
     instance_to_json,
     mean_reward_matrix,
-    sample_reward,
 )
 from blockedbandits.harness import run_algorithm
 from blockedbandits.rng import stream
@@ -69,6 +68,13 @@ class TestGenerator:
                                             n_items=4, n_clusters=2,
                                             horizon=9, budget=2), 0)
 
+    @pytest.mark.parametrize("kwargs,match", [
+        ({"name": "d4"}, "unknown dataset"),
+        ({"name": "custom", "v_law": "cauchy"}, "unknown item-factor law")])
+    def test_unknown_name_or_law_rejected_at_construction(self, kwargs, match):
+        with pytest.raises(ConfigurationError, match=match):
+            GeneratorSpec(**kwargs)
+
     def test_item_cluster_structure(self):
         spec = GeneratorSpec(name="custom", n_users=12, n_items=15,
                              n_clusters=3, horizon=6, budget=1,
@@ -87,15 +93,16 @@ class TestRewards:
             GeneratorSpec(name="custom", n_users=4, n_items=6, n_clusters=2,
                           horizon=3, budget=1,
                           noise=NoiseModel("gaussian", 0.0)), seed=0)
-        rng = stream(0, "x")
+        sim = Simulation(inst, 0)
         for u, j in [(0, 0), (3, 5), (2, 1)]:
-            assert sample_reward(inst, u, j, rng) == inst.rewards[u, j]
+            assert sim.recommend(u, j, "x")[0] == inst.rewards[u, j]
 
     def test_sign_degenerate_probability_one(self):
-        inst = Instance(2, 3, 2, 1, 1, np.zeros(2, dtype=int),
-                        np.ones((2, 3)), NoiseModel("sign"))
-        rng = stream(1, "x")
-        assert all(sample_reward(inst, 0, 0, rng) == 1.0 for _ in range(50))
+        inst = Instance(2, 50, 50, 1, 1, np.zeros(2, dtype=int),
+                        np.ones((2, 50)), NoiseModel("sign"))
+        for seed in range(3):
+            sim = Simulation(inst, seed)
+            assert all(sim.recommend(0, j, "x")[0] == 1.0 for j in range(50))
 
     def test_gaussian_monte_carlo_mean(self):
         # stderr = 0.5 / sqrt(1e5) ~ 0.00158, so 0.01 is a > 6-sigma bound
@@ -168,11 +175,11 @@ class TestLedger:
             GeneratorSpec(name="custom", n_users=1, n_items=4, n_clusters=1,
                           horizon=8, budget=2), seed=0)
         sim = Simulation(inst, 0)
-        value, _ = sim.recommend(0, 1, "filler", consumable=False)
-        assert sim.ledger.stored[0, 1] == 1
+        value, event_id = sim.recommend(0, 1, "filler", consumable=False)
+        assert sim.ledger.stored[(0, 1)] == [(value, event_id)]
         got, _ = sim.reuse_observation(0, 1)
         assert got == value
-        assert sim.ledger.stored[0, 1] == 0 and sim.ledger.consumed[0, 1] == 1
+        assert sim.ledger.count(0, 1) == 1  # reuse uses no budget
         assert not sim.ledger.has_reusable(0, 1)
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),

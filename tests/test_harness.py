@@ -13,7 +13,6 @@ from blockedbandits.harness import (
     aggregate,
     csv_text,
     oracle_prefix_values,
-    regret,
     run_algorithm,
     summary_json,
     sweep,
@@ -43,7 +42,7 @@ class TestRegret:
             GeneratorSpec(name="d2", n_users=6, n_items=9, n_clusters=2,
                           horizon=6, budget=2), seed=0)
         trace, _ = run_algorithm(inst, "oracle", 0)
-        assert regret(trace, inst) == pytest.approx(0.0, abs=1e-12)
+        assert trace.final_regret == pytest.approx(0.0, abs=1e-12)
 
     def test_forced_schedule_zero(self):
         # 1 user, 2 items, T=2, B=1: both items must be picked
