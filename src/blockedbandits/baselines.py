@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import phased
 from .completion import SolverConfig, estimate
-from .env import ConfigurationError, Simulation
+from .env import ConfigurationError, Simulation, mean_reward_matrix
 
 __all__ = [
     "EtcConfig",
@@ -56,64 +57,43 @@ def etc_sampling_prob(n_users: int, n_items: int, horizon: int, sigma: float,
 
 
 def run_etc(sim: Simulation, cfg: EtcConfig, rng: np.random.Generator) -> None:
-    """One Bernoulli exploration block, one completion call, then commit."""
+    """The phased engine's exploration block over all users and items (one
+    Bernoulli pattern, one completion call), then the commit walk on the
+    estimate."""
     inst = sim.instance
-    horizon = inst.horizon
     sigma = inst.noise.scale
     if cfg.p_override is not None:
         p = cfg.p_override
     elif cfg.m_target is not None:
         p = cfg.m_target / inst.n_items
     else:
-        p = etc_sampling_prob(inst.n_users, inst.n_items, horizon, sigma,
+        p = etc_sampling_prob(inst.n_users, inst.n_items, inst.horizon, sigma,
                               inst.n_clusters, inst.reward_ceiling,
                               cfg.mu_bound, cfg.constant)
     if not (0 < p <= 1):
         warnings.warn(f"exploration rate {p:.3g} clamped into (0, 1]")
         p = min(max(p, 1e-6), 1.0)
 
-    picks = rng.random((inst.n_users, inst.n_items)) < p
-    per_user = [np.flatnonzero(picks[u]) for u in range(inst.n_users)]
-    m = min(max((len(q) for q in per_user), default=0), horizon)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    values: list[float] = []
-    consumed: list[int] = []
-    for user in range(inst.n_users):
-        queue = per_user[user][: m]
-        in_omega = set(int(j) for j in per_user[user])
-        for item in queue:
-            value, event_id = sim.recommend(user, int(item), "explore",
-                                            consumable=True)
-            rows.append(user)
-            cols.append(int(item))
-            values.append(value)
-            consumed.append(event_id)
-        for _ in range(m - len(queue)):
-            free = sim.unblocked_in(user, np.arange(inst.n_items))
-            outside = free[[int(j) not in in_omega for j in free]]
-            pick = int(rng.choice(outside)) if outside.size else int(rng.choice(free))
-            sim.recommend(user, pick, "filler")
-
-    if values:
-        omega = np.stack([rows, cols], axis=1)
-        res = estimate(inst.n_users, inst.n_items, omega, np.asarray(values),
-                       sigma, inst.n_clusters, cfg.solver, rng)
-        call_id = sim.new_estimate_call()
-        sim.mark_consumed(consumed, call_id)
-        scores = res.matrix
-    else:
+    scores, _ = phased._explore(sim, np.arange(inst.n_users),
+                                np.arange(inst.n_items), 0, p, sigma,
+                                inst.n_clusters, cfg.solver, rng)
+    if scores is None:
         scores = np.zeros((inst.n_users, inst.n_items))
+    _commit(sim, scores, "commit")
 
+
+def _commit(sim: Simulation, scores: np.ndarray, purpose: str) -> None:
+    """Each user walks down its stable descending order of ``scores``,
+    skipping pairs at budget, until it has T rounds."""
+    inst = sim.instance
     order = np.argsort(-scores, axis=1, kind="stable")
     for user in range(inst.n_users):
+        counts = sim.ledger.counts_row(user)
         pointer = 0
-        for _ in range(m, horizon):
-            counts = sim.ledger.counts_row(user)
+        for _ in range(sim.round_of(user), inst.horizon):
             while counts[order[user, pointer]] >= inst.budget:
                 pointer += 1
-            sim.recommend(user, int(order[user, pointer]), "commit")
+            sim.recommend(user, int(order[user, pointer]), purpose)
 
 
 # -- practical phased variant (k-means refinement + in-group exploitation) --
@@ -159,8 +139,6 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
             d2 = ((points[:, None, :] - centers[None]) ** 2).sum(axis=2)
             labels = d2.argmin(axis=1)
             sse = float(d2[np.arange(n), labels].sum())
-            if sse > prev_sse + 1e-9:
-                raise AssertionError("k-means objective increased")
             for j in range(k):
                 sel = labels == j
                 if sel.any():
@@ -302,8 +280,7 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
             vals = np.array([v for _, _, v, _ in entries])
             res = estimate(len(users), len(active), omega, vals, sigma,
                            n_clusters, solver, rng)
-            call_id = sim.new_estimate_call()
-            sim.mark_consumed([eid for _, _, _, eid in entries], call_id)
+            sim.mark_consumed([eid for _, _, _, eid in entries])
             rows_est = res.matrix
             k, labels = pick_k_elbow(rows_est, n_clusters, rng,
                                      cfg.kmeans_restarts, cfg.kmeans_iters,
@@ -330,12 +307,6 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
         report.append(PracticalPhase(
             level=level, groups=[(g.users, g.active) for g in groups]))
         level += 1
-
-    # horizon reached mid-phase is fine; any shortfall is filled uniformly
-    for user in range(inst.n_users):
-        while sim.round_of(user) < horizon:
-            cand = sim.unblocked_in(user, all_items)
-            sim.recommend(user, int(rng.choice(cand)), "fill")
     return report
 
 
@@ -415,18 +386,10 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
 
 
 def run_oracle(sim: Simulation) -> None:
-    """Clairvoyant schedule: each user's top ceil(T/B) mean-reward items,
-    budget times each (the last one for the remainder).  Zero regret by
-    construction."""
-    inst = sim.instance
-    from .env import mean_reward_matrix
-
-    means = mean_reward_matrix(inst)
-    order = np.argsort(-means, axis=1, kind="stable")
-    for user in range(inst.n_users):
-        for t in range(inst.horizon):
-            item = int(order[user, t // inst.budget])
-            sim.recommend(user, item, "oracle")
+    """Clairvoyant schedule: the commit walk on the true means, which gives
+    each user its top ceil(T/B) mean-reward items, budget times each (the
+    last one for the remainder).  Zero regret by construction."""
+    _commit(sim, mean_reward_matrix(sim.instance), "oracle")
 
 
 def run_random(sim: Simulation, rng: np.random.Generator) -> None:

@@ -24,13 +24,21 @@ from .harness import (
     write_csv,
 )
 
+
+def _integer(value) -> int:
+    """An integral number; a bool or a fraction is an error, not truncated."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 # dataset key -> (GeneratorSpec field, type); absent keys take its defaults
 _DATASET_FIELDS = {
-    "name": ("name", str), "users": ("n_users", int),
-    "items": ("n_items", int), "clusters": ("n_clusters", int),
-    "horizon": ("horizon", int), "budget": ("budget", int),
+    "name": ("name", str), "users": ("n_users", _integer),
+    "items": ("n_items", _integer), "clusters": ("n_clusters", _integer),
+    "horizon": ("horizon", _integer), "budget": ("budget", _integer),
     "v_law": ("v_law", str), "v_scale": ("v_scale", float),
-    "item_clusters": ("item_clusters", int),
+    "item_clusters": ("item_clusters", _integer),
 }
 _DATASET_KEYS = set(_DATASET_FIELDS) | {"noise"}
 _NOISE_KEYS = {"kind", "sigma"}
@@ -54,7 +62,7 @@ def _reject_unknown(doc, allowed: set[str], where: str) -> None:
 def _convert(convert, value, where: str):
     try:
         return convert(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"invalid {where}: {value!r}") from exc
 
 
@@ -81,7 +89,9 @@ def parse_dataset(doc: dict) -> GeneratorSpec:
 
 def _seed_list(value) -> list[int]:
     """An integer n means seeds 0..n-1; otherwise an explicit list."""
-    return list(range(value)) if isinstance(value, int) else [int(s) for s in value]
+    if isinstance(value, list):
+        return [_integer(s) for s in value]
+    return list(range(_integer(value)))
 
 
 def _parse_algorithm(doc: dict, allowed: set[str]) -> tuple[str, str, dict]:
@@ -131,11 +141,10 @@ def cmd_run(args) -> int:
     _reject_unknown(doc, _RUN_KEYS, "run config")
     if "dataset" not in doc:
         raise ConfigurationError("run config needs a 'dataset' section")
-    algo_docs = doc.get("algorithms")
-    if algo_docs is None:
-        if "algorithm" not in doc:
-            raise ConfigurationError("run config needs an 'algorithm' section")
-        algo_docs = [doc["algorithm"]]
+    if ("algorithm" in doc) == ("algorithms" in doc):
+        raise ConfigurationError(
+            "run config needs one of 'algorithm' and 'algorithms'")
+    algo_docs = doc.get("algorithms", [doc.get("algorithm")])
     return _run_grid(args, doc, [("dataset", parse_dataset(doc["dataset"]))],
                      algo_docs, _ALGO_KEYS, "run")
 

@@ -329,13 +329,12 @@ class Simulation:
         self.reuse_log.append((int(self.rounds_done[user]), user, item, event_id))
         return value, event_id
 
-    def new_estimate_call(self) -> int:
+    def mark_consumed(self, event_ids: list[int]) -> int:
+        """Record a new estimate call as consuming ``event_ids``; its id."""
         self._estimate_calls += 1
-        return self._estimate_calls
-
-    def mark_consumed(self, event_ids: list[int], call_id: int) -> None:
         for eid in event_ids:
-            self.events[eid].consumers.append(call_id)
+            self.events[eid].consumers.append(self._estimate_calls)
+        return self._estimate_calls
 
     # -- bulk views --------------------------------------------------------
 

@@ -13,8 +13,10 @@ import csv
 import io
 import json
 import math
+import numbers
+import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -137,17 +139,30 @@ _PARAMS = {
 }
 
 
+def _accepts(hint, value) -> bool:
+    """Whether ``value`` fits a config field annotated ``hint``."""
+    if typing.get_args(hint):  # an optional field: X | None
+        return any(_accepts(arg, value) for arg in typing.get_args(hint))
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, {int: numbers.Integral,
+                              float: numbers.Real}.get(hint, hint))
+
+
 def _check_algorithm(name: str, params) -> None:
-    """Reject an unregistered algorithm name or a param its config lacks."""
+    """Reject an unregistered algorithm name, or a param that its config
+    dataclass lacks or annotates with another type."""
     if name not in ALGORITHMS:
         raise ConfigurationError(
             f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}")
-    config = _PARAMS[name]
-    known = {f.name for f in fields(config)} if config else set()
-    unknown = sorted(set(dict(params or {})) - known)
+    hints = typing.get_type_hints(_PARAMS[name]) if _PARAMS[name] else {}
+    unknown = sorted(set(dict(params or {})) - set(hints))
     if unknown:
         raise ConfigurationError(
-            f"unknown param(s) for {name}: {unknown}; known: {sorted(known)}")
+            f"unknown param(s) for {name}: {unknown}; known: {sorted(hints)}")
+    for key, value in sorted(dict(params or {}).items()):
+        if not _accepts(hints[key], value):
+            raise ConfigurationError(f"invalid param {key}={value!r} for {name}")
 
 
 def run_algorithm(inst: Instance, name: str, seed: int,

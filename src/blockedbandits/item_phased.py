@@ -13,18 +13,15 @@ task loop of :mod:`phased`.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from . import phased
 from .env import Simulation
-from .phased import PhasedConfig, RunReport
+from .phased import PhasedConfig, RunReport, similarity_components
 
-# Unused here, but the benchmark's tracer patches these names in this module.
+# Unused here, but the benchmark's tracer patches this name in this module.
 from .completion import estimate  # noqa: F401
-from .phased import similarity_components  # noqa: F401
 
-__all__ = ["ItemPhasedConfig", "item_components", "run_item_phased"]
+__all__ = ["ItemPhasedConfig", "run_item_phased"]
 
 # Item-graph edges require agreement within ITEM_EDGE_FACTOR * C * delta on
 # every user of the group; the wider constant absorbs the extra slack of
@@ -35,28 +32,14 @@ ITEM_EDGE_FACTOR = 16
 ItemPhasedConfig = PhasedConfig
 
 
-def item_components(est_cols: np.ndarray, threshold: float) -> np.ndarray:
-    """Component label per column of the estimate restricted to a group.
-
-    Columns are adjacent when they agree within ``threshold`` for every user
-    (row) of the group.
-    """
-    n = est_cols.shape[1]
-    if n == 1:
-        return np.zeros(1, dtype=np.int64)
-    diff = np.abs(est_cols[:, :, None] - est_cols[:, None, :]).max(axis=0)
-    _, labels = connected_components(csr_matrix(diff <= threshold),
-                                     directed=False)
-    return labels
-
-
-def _closure(active: np.ndarray, labels: np.ndarray, seed_items: np.ndarray) -> np.ndarray:
-    """All of ``active`` connected (via ``labels``) to some seed item."""
+def _closure(active: np.ndarray, comps: list[np.ndarray],
+             seed_items: np.ndarray) -> np.ndarray:
+    """All of ``active`` in a component (of positions in it) holding a seed."""
     seed_mask = np.isin(active, seed_items)
-    if not seed_mask.any():
+    hit = [comp for comp in comps if seed_mask[comp].any()]
+    if not hit:
         return seed_items
-    hit = np.unique(labels[seed_mask])
-    return active[np.isin(labels, hit)]
+    return active[np.sort(np.concatenate(hit))]
 
 
 def run_item_phased(sim: Simulation, cfg: ItemPhasedConfig,
@@ -67,7 +50,9 @@ def run_item_phased(sim: Simulation, cfg: ItemPhasedConfig,
         raise ValueError("run_item_phased needs a reusable-ledger simulation")
 
     def expand(active, est, seed, delta):
-        labels = item_components(est, ITEM_EDGE_FACTOR * cfg.n_clusters * delta)
-        return _closure(active, labels, seed)
+        # items are adjacent when their columns agree on every group user
+        comps = similarity_components(est.T,
+                                      ITEM_EDGE_FACTOR * cfg.n_clusters * delta)
+        return _closure(active, comps, seed)
 
     return phased._run(sim, cfg, rng, expand)

@@ -163,11 +163,11 @@ def _pick_filler(sim: Simulation, user: int, active: np.ndarray,
 
 
 def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
-             p: float, cfg: PhasedConfig, rng: np.random.Generator,
-             ) -> tuple[np.ndarray | None, int]:
+             p: float, sigma: float, rank: int, solver: SolverConfig,
+             rng: np.random.Generator) -> tuple[np.ndarray | None, int]:
     """Explore component: Bernoulli sampling, budget-aware recommendation,
-    completion.  Returns the estimated sub-matrix (or None) and the new round.
-    """
+    completion at noise scale ``sigma`` and rank ``rank``.  Returns the
+    estimated sub-matrix (or None) and the new round."""
     inst = sim.instance
     horizon = inst.horizon
     n_u, n_i = len(users), len(active)
@@ -209,10 +209,9 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     if not values:
         return None, t_new
     omega = np.stack([omega_rows, omega_cols], axis=1)
-    result = estimate(n_u, n_i, omega, np.asarray(values), cfg.sigma,
-                      cfg.n_clusters, cfg.solver, rng)
-    call_id = sim.new_estimate_call()
-    sim.mark_consumed(consumed_ids, call_id)
+    result = estimate(n_u, n_i, omega, np.asarray(values), sigma, rank,
+                      solver, rng)
+    sim.mark_consumed(consumed_ids)
     return result.matrix, t_new
 
 
@@ -276,9 +275,8 @@ def _fill_until_end(sim: Simulation, users: np.ndarray, active: np.ndarray,
     horizon = sim.instance.horizon
     for user in users:
         for _ in range(t0, horizon):
-            cand = sim.unblocked_in(user, active)
-            item = int(rng.choice(cand)) if cand.size else sim.any_unblocked(user, active)
-            sim.recommend(user, item, "fill")
+            sim.recommend(user, _pick_filler(sim, user, active, set(), rng),
+                          "fill")
 
 
 def run_phased(sim: Simulation, cfg: PhasedConfig,
@@ -329,7 +327,8 @@ def _run(sim: Simulation, cfg: PhasedConfig, rng: np.random.Generator,
         record.sampling_p = p
         deep = task.level >= cfg.max_phases
         if active.size >= horizon ** (1 / 3) and p < 1 and not deep:
-            block, t0 = _explore(sim, task.users, active, t0, p, cfg, rng)
+            block, t0 = _explore(sim, task.users, active, t0, p, cfg.sigma,
+                                 cfg.n_clusters, cfg.solver, rng)
             record.explored = block is not None
             if block is not None:
                 p_tilde[np.ix_(task.users, active)] = block

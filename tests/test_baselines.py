@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockedbandits.baselines import (
     CollabGreedyConfig,
@@ -136,6 +138,9 @@ class TestPractical:
         assert sim.finished()
         assert sim.ledger.max_pair_count() <= 1
         assert trace.cumulative_regret.shape == (20,)
+        # every phase gives each user one round per round, so the phases
+        # alone reach T and nothing is left to fill
+        assert not [e for e in sim.events if e.purpose == "fill"]
 
     def test_active_fallback_when_starved(self):
         # aggressive pruning cannot starve users: the fallback recommends
@@ -158,6 +163,19 @@ class TestKMeans:
         _, sse_multi = kmeans(pts, 2, stream(6, "k"), restarts=5)
         _, sse_single = kmeans(pts, 2, stream(6, "k"), restarts=1)
         assert sse_multi <= sse_single + 1e-12
+
+    @given(st.integers(2, 30), st.integers(1, 4), st.integers(1, 5),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_lloyd_objective_never_increases(self, n, dim, k, seed):
+        # one restart from the same stream starts every run at the same
+        # centres, so the SSE at iters = 1..7 is Lloyd's objective trace
+        pts = np.random.default_rng(seed).normal(0, 1, (n, dim))
+        pts = np.round(pts, 1)  # repeated points and tied distances
+        sses = [kmeans(pts, k, stream(seed, "k"), restarts=1, iters=i)[1]
+                for i in range(1, 8)]
+        for before, after in zip(sses, sses[1:]):
+            assert after <= before + 1e-9 * max(1.0, before)
 
     def test_elbow_prefers_true_k(self):
         g = np.random.default_rng(7)

@@ -130,10 +130,22 @@ class TestCommands:
         ("sweep", lambda d: d.update(datasets=[
             {"name": "d3", "users": 8, "items": 10, "horizon": 5},
             {"name": "d3", "users": 12, "items": 10, "horizon": 5}])),
+        ("run", lambda d: d["dataset"].update(users=10.7)),
+        ("run", lambda d: d["dataset"].update(budget=True)),
+        ("run", lambda d: d.update(seeds=[0, 1.9])),
+        ("sweep", lambda d: d.update(seeds=True)),
+        ("run", lambda d: d.update(algorithms=[{"name": "random"}])),
+        ("run", lambda d: d["algorithm"].update(params={"m_target": "x"})),
+        ("run", lambda d: d["algorithm"].update(params={"m_target": True})),
+        ("run", lambda d: d.update(algorithm={
+            "name": "practical", "params": {"centroid_smoothing": "no"}})),
     ], ids=["users-abc", "noise-5", "sigma-x", "dataset-name", "etc-param",
             "random-param", "oracle-param", "algorithm-not-object",
             "sweep-users-x", "item-clusters-x", "seeds-ab",
-            "datasets-not-list", "same-algorithm-label", "same-dataset-label"])
+            "datasets-not-list", "same-algorithm-label", "same-dataset-label",
+            "users-fraction", "budget-bool", "seed-fraction", "seeds-bool",
+            "algorithm-and-algorithms", "param-str-for-float",
+            "param-bool-for-float", "param-str-for-bool"])
     def test_bad_config_exits_before_any_cell(self, tmp_path, capsys,
                                              command, edit):
         base = RUN_DOC if command == "run" else SWEEP_DOC
@@ -210,7 +222,8 @@ class TestCommands:
             [("etc-m_target2", 2), ("etc-m_target4", 2)]
 
     def test_threads_do_not_change_output(self, tmp_path):
-        doc = dict(RUN_DOC, algorithms=[{"name": "random"}, RUN_DOC["algorithm"]])
+        doc = {k: v for k, v in RUN_DOC.items() if k != "algorithm"}
+        doc["algorithms"] = [{"name": "random"}, RUN_DOC["algorithm"]]
         for threads in ("1", "2"):
             (tmp_path / threads).mkdir()
             assert run_cli(tmp_path / threads, "run", doc, "--threads", threads) == 0

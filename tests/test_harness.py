@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockedbandits.env import GeneratorSpec, Instance, NoiseModel, generate_instance
+from blockedbandits.completion import SolverConfig
+from blockedbandits.env import (
+    ConfigurationError,
+    GeneratorSpec,
+    Instance,
+    NoiseModel,
+    generate_instance,
+)
 from blockedbandits.harness import (
     CSV_COLUMNS,
     SweepSpec,
@@ -171,3 +178,29 @@ class TestSweep:
         serial = csv_text(sweep(spec, threads=1))
         threaded = csv_text(sweep(spec, threads=3))
         assert serial == threaded
+
+
+class TestParamTypes:
+    SPEC = GeneratorSpec(name="d2", n_users=6, n_items=8, n_clusters=2,
+                         horizon=4, budget=1)
+
+    @pytest.mark.parametrize("name,params", [
+        ("etc", {"m_target": 10}),
+        ("etc", {"m_target": np.float64(2.5), "p_override": None}),
+        ("practical", {"kmeans_iters": np.int64(5), "sigma": 1,
+                       "centroid_smoothing": True}),
+        ("phased", {"solver": SolverConfig(max_iters=50), "max_phases": 3}),
+    ])
+    def test_well_typed_params_accepted(self, name, params):
+        SweepSpec.make([("d", self.SPEC)], [("a", name, params)], [0])
+
+    @pytest.mark.parametrize("name,params", [
+        ("etc", {"m_target": "x"}),
+        ("etc", {"m_target": True}),
+        ("practical", {"kmeans_iters": 5.0}),
+        ("practical", {"centroid_smoothing": 1}),
+        ("phased", {"solver": {"max_iters": 50}}),
+    ])
+    def test_wrong_param_type_rejected(self, name, params):
+        with pytest.raises(ConfigurationError, match="invalid param"):
+            SweepSpec.make([("d", self.SPEC)], [("a", name, params)], [0])

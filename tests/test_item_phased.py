@@ -8,9 +8,9 @@ from blockedbandits.harness import run_algorithm
 from blockedbandits.item_phased import (
     ItemPhasedConfig,
     _closure,
-    item_components,
     run_item_phased,
 )
+from blockedbandits.phased import similarity_components
 from blockedbandits.rng import stream
 
 from conftest import golden_threshold, item_cluster_instance, true_partition
@@ -20,33 +20,36 @@ class TestItemGraph:
     def test_distinct_columns_are_singletons(self):
         # every item its own cluster: no edges at a tight threshold
         est = np.tile(np.arange(6.0), (4, 1))
-        labels = item_components(est, threshold=0.5)
-        assert len(np.unique(labels)) == 6
+        comps = similarity_components(est.T, threshold=0.5)
+        assert [c.tolist() for c in comps] == [[j] for j in range(6)]
 
     def test_true_item_clusters_recovered_from_exact_estimate(self):
         inst = item_cluster_instance(0, n_item_clusters=3)
         group = np.flatnonzero(inst.cluster_of == 0)
-        labels = item_components(inst.rewards[group], threshold=1e-6)
-        # same label iff same true item cluster
-        for a in range(inst.n_items):
-            for b in range(a + 1, inst.n_items):
-                same_true = inst.item_cluster_of[a] == inst.item_cluster_of[b]
-                assert (labels[a] == labels[b]) == same_true
+        comps = similarity_components(inst.rewards[group].T, threshold=1e-6)
+        # one component per true item cluster, holding exactly its items
+        got = {frozenset(c.tolist()) for c in comps}
+        want = {frozenset(np.flatnonzero(inst.item_cluster_of == k).tolist())
+                for k in np.unique(inst.item_cluster_of)}
+        assert got == want
 
     def test_closure_extends_to_whole_components(self):
         active = np.array([2, 3, 4, 5, 6])
-        labels = np.array([0, 0, 1, 1, 2])  # components over active
-        seed_items = np.array([3])
-        got = _closure(active, labels, seed_items)
-        assert set(got.tolist()) == {2, 3}
+        # components over positions in active
+        comps = [np.array([1, 4]), np.array([0, 2]), np.array([3])]
+        assert _closure(active, comps, np.array([3])).tolist() == [3, 6]
+        # several components come back in active order
+        assert _closure(active, comps, np.array([6, 2])).tolist() == [2, 3, 4, 6]
+        # seeds outside active are returned as they are
+        assert _closure(active, comps, np.array([9])).tolist() == [9]
 
     def test_closure_zero_noise_stays_within_touched_clusters(self):
         inst = item_cluster_instance(1, n_item_clusters=4)
         group = np.flatnonzero(inst.cluster_of == 1)
         active = np.arange(inst.n_items)
-        labels = item_components(inst.rewards[group], threshold=1e-6)
+        comps = similarity_components(inst.rewards[group].T, threshold=1e-6)
         seed_items = np.flatnonzero(inst.item_cluster_of == 2)[:3]
-        expanded = _closure(active, labels, seed_items)
+        expanded = _closure(active, comps, seed_items)
         assert set(inst.item_cluster_of[expanded]) == {2}
 
 

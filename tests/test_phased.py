@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from blockedbandits.completion import SolverConfig
 from blockedbandits.env import GeneratorSpec, Instance, NoiseModel, Simulation, generate_instance
 from blockedbandits.harness import build_trace, run_algorithm
 from blockedbandits.phased import (
@@ -156,10 +157,8 @@ class TestRunPhased:
                         factors[:, np.arange(6) % 2].T,
                         NoiseModel("gaussian", 0.0))
         sim = Simulation(inst, 6)
-        cfg = PhasedConfig(n_clusters=2, sigma=0.0,
-                           reward_ceiling=inst.reward_ceiling)
-        block, t_new = _explore(sim, np.arange(6), np.arange(5), 0, 1.0, cfg,
-                                stream(6, "d"))
+        block, t_new = _explore(sim, np.arange(6), np.arange(5), 0, 1.0, 0.0,
+                                2, SolverConfig(), stream(6, "d"))
         assert t_new == 5
         assert np.abs(block - inst.rewards).max() <= 1e-6
 
