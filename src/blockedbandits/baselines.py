@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,14 +36,13 @@ __all__ = [
 class EtcConfig:
     p_override: float | None = None
     m_target: float | None = None  # expected exploration rounds; sets p = m/N
-    constant: float = 1.0  # stands in for the hidden factors of the p rule
     mu_bound: float = 2.0
     solver: SolverConfig = field(default_factory=SolverConfig)
 
 
 def etc_sampling_prob(n_users: int, n_items: int, horizon: int, sigma: float,
-                      rank: int, reward_ceiling: float, mu_bound: float,
-                      constant: float = 1.0) -> float:
+                      rank: int, reward_ceiling: float,
+                      mu_bound: float) -> float:
     """Exploration rate balancing estimation error against exploration cost.
 
     (N * Pmax)^(-2/3) * (T * sigma * r * mu^(3/2) / sqrt(d2))^(2/3), floored
@@ -53,7 +52,7 @@ def etc_sampling_prob(n_users: int, n_items: int, horizon: int, sigma: float,
     ceiling = max(reward_ceiling, 1e-12)
     main = (n_items * ceiling) ** (-2 / 3) * (
         horizon * sigma * rank * mu_bound ** 1.5 / math.sqrt(d2)) ** (2 / 3)
-    return constant * max(main, mu_bound ** 2 / d2)
+    return max(main, mu_bound ** 2 / d2)
 
 
 def run_etc(sim: Simulation, cfg: EtcConfig, rng: np.random.Generator) -> None:
@@ -69,7 +68,7 @@ def run_etc(sim: Simulation, cfg: EtcConfig, rng: np.random.Generator) -> None:
     else:
         p = etc_sampling_prob(inst.n_users, inst.n_items, inst.horizon, sigma,
                               inst.n_clusters, inst.reward_ceiling,
-                              cfg.mu_bound, cfg.constant)
+                              cfg.mu_bound)
     if not (0 < p <= 1):
         warnings.warn(f"exploration rate {p:.3g} clamped into (0, 1]")
         p = min(max(p, 1e-6), 1.0)
@@ -98,17 +97,15 @@ def _commit(sim: Simulation, scores: np.ndarray, purpose: str) -> None:
 
 # -- practical phased variant (k-means refinement + in-group exploitation) --
 
+# smallest relative SSE gain for which pick_k_elbow adds another cluster
+ELBOW_THRESHOLD = 0.10
+
 
 @dataclass(frozen=True)
 class PracticalConfig:
-    n_clusters: int | None = None  # upper bound for k-means; instance C if None
-    sigma: float | None = None  # noise scale; instance-derived if None
     phase_length_base: int = 10  # phase ell lasts base + slope * ell rounds
     phase_length_slope: int = 2
     gap_divisor: float = 8.0  # gap at phase ell is ceiling / (divisor * 2^ell)
-    kmeans_restarts: int = 5
-    kmeans_iters: int = 100
-    elbow_threshold: float = 0.10
     # prune and exploit on cluster-centroid rows instead of each user's own
     # completion row; off, since the per-user rows exploit better on d3
     centroid_smoothing: bool = False
@@ -153,27 +150,26 @@ def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
     return best_labels, best_sse
 
 
-def pick_k_elbow(points: np.ndarray, k_max: int, rng: np.random.Generator,
-                 restarts: int = 5, iters: int = 100,
-                 threshold: float = 0.10) -> tuple[int, np.ndarray]:
+def pick_k_elbow(points: np.ndarray, k_max: int,
+                 rng: np.random.Generator) -> tuple[int, np.ndarray]:
     """Pick the cluster count by the elbow of the SSE curve.
 
     Stops at the first k whose SSE gain over k-1, measured relative to the
-    total SSE at k=1, falls below ``threshold`` and returns k-1; relative to
-    k=1 rather than k-1 so near-perfect clusterings are not split further on
-    noise.
+    total SSE at k=1, falls below ``ELBOW_THRESHOLD`` and returns k-1;
+    relative to k=1 rather than k-1 so near-perfect clusterings are not split
+    further on noise.
     """
     k_max = max(1, min(k_max, points.shape[0]))
     sses: list[float] = []
     labelings: list[np.ndarray] = []
     for k in range(1, k_max + 1):
-        labels, sse = kmeans(points, k, rng, restarts, iters)
+        labels, sse = kmeans(points, k, rng)
         sses.append(sse)
         labelings.append(labels)
         if k >= 2:
             total = max(sses[0], 1e-300)
             improvement = (sses[k - 2] - sse) / total
-            if improvement < threshold:
+            if improvement < ELBOW_THRESHOLD:
                 return k - 1, labelings[k - 2]
     return k_max, labelings[-1]
 
@@ -223,17 +219,12 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
     """
     inst = sim.instance
     horizon = inst.horizon
-    n_clusters = cfg.n_clusters or inst.n_clusters
-    sigma = inst.noise.scale if cfg.sigma is None else cfg.sigma
+    n_clusters, sigma = inst.n_clusters, inst.noise.scale
     all_items = np.arange(inst.n_items)
     groups = [_Group(np.arange(inst.n_users), all_items)]
     report: list[PracticalPhase] = []
-    # per-(user, item) observed reward sums and counts, for the group scores
-    reward_sum = np.zeros((inst.n_users, inst.n_items))
-    reward_count = np.zeros((inst.n_users, inst.n_items))
     t = 0
     level = 1
-    observations: list[tuple[int, int, float, int]] = []
     while t < horizon:
         m_ell = cfg.phase_length_base + cfg.phase_length_slope * level
         nu_ell = inst.reward_ceiling / (cfg.gap_divisor * 2 ** level)
@@ -251,11 +242,8 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
                         cand = g.active[free] if free.any() \
                             else sim.unblocked_in(user, all_items)
                         item, pos, purpose = int(rng.choice(cand)), None, "explore"
-                    value, event_id = sim.recommend(user, item, purpose,
-                                                    consumable=True)
-                    observations.append((user, item, value, event_id))
-                    reward_sum[user, item] += value
-                    reward_count[user, item] += 1
+                    value, _ = sim.recommend(user, item, purpose,
+                                             consumable=True)
                     if pos is not None:
                         g.reward_sum[pos] += value
                         g.reward_count[pos] += 1
@@ -263,28 +251,34 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
         if t >= horizon:
             break
 
-        solver = SolverConfig(tol=cfg.solver.tol, max_iters=cfg.solver.max_iters,
-                              step=cfg.solver.step, lam_override=lam)
+        # every recommendation is one event, so event ids index these arrays
+        ev_user = np.array([ev.user for ev in sim.events], dtype=np.int64)
+        ev_item = np.array([ev.item for ev in sim.events], dtype=np.int64)
+        ev_reward = np.array([ev.reward for ev in sim.events])
+        # per-(user, item) observed reward sums and counts, for the group scores
+        reward_sum = np.zeros((inst.n_users, inst.n_items))
+        np.add.at(reward_sum, (ev_user, ev_item), ev_reward)
+        reward_count = np.zeros((inst.n_users, inst.n_items))
+        np.add.at(reward_count, (ev_user, ev_item), 1.0)
+        solver = replace(cfg.solver, lam_override=lam)
         next_groups: list[_Group] = []
         for g in groups:
             users, active = g.users, g.active
-            local_u = {int(u): i for i, u in enumerate(users)}
-            local_j = {int(j): i for i, j in enumerate(active)}
-            entries = [(local_u[u], local_j[j], v, eid)
-                       for u, j, v, eid in observations
-                       if u in local_u and j in local_j]
-            if not entries:
+            local_u = np.full(inst.n_users, -1)
+            local_u[users] = np.arange(users.size)
+            local_j = np.full(inst.n_items, -1)
+            local_j[active] = np.arange(active.size)
+            rows, cols = local_u[ev_user], local_j[ev_item]
+            inside = np.flatnonzero((rows >= 0) & (cols >= 0))
+            if not inside.size:
                 next_groups.append(g)
                 continue
-            omega = np.array([(r, c) for r, c, _, _ in entries], dtype=np.int64)
-            vals = np.array([v for _, _, v, _ in entries])
-            res = estimate(len(users), len(active), omega, vals, sigma,
-                           n_clusters, solver, rng)
-            sim.mark_consumed([eid for _, _, _, eid in entries])
+            omega = np.stack([rows[inside], cols[inside]], axis=1)
+            res = estimate(len(users), len(active), omega, ev_reward[inside],
+                           sigma, n_clusters, solver, rng)
+            sim.mark_consumed(inside.tolist())
             rows_est = res.matrix
-            k, labels = pick_k_elbow(rows_est, n_clusters, rng,
-                                     cfg.kmeans_restarts, cfg.kmeans_iters,
-                                     cfg.elbow_threshold)
+            k, labels = pick_k_elbow(rows_est, n_clusters, rng)
             if cfg.centroid_smoothing:
                 for c in range(k):
                     sel = labels == c
@@ -317,7 +311,10 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
 class CollabGreedyConfig:
     theta: float = 0.5  # random-exploration probability decays as t^-theta
     alpha: float = 0.5  # joint-exploration probability decays as t^-alpha
-    agreement: float = 0.5  # co-rating agreement defining the neighborhood
+
+
+# co-rating agreement that makes two users neighbors
+AGREEMENT = 0.5
 
 
 def explore_probabilities(t: int, cfg: CollabGreedyConfig) -> tuple[float, float]:
@@ -339,20 +336,15 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     n_u, n_i = inst.n_users, inst.n_items
     horizon = inst.horizon
     rating_sum = np.zeros((n_u, n_i))
-    rated = np.zeros((n_u, n_i), dtype=bool)
     joint_sequence = rng.permutation(n_i)
     joint_ptr = 0
     all_items = np.arange(n_i)
-
-    def note(user: int, item: int, value: float) -> None:
-        rating_sum[user, item] += value
-        rated[user, item] = True
-
     for t in range(1, horizon + 1):
         p_rand, p_joint = explore_probabilities(t, cfg)
         joint_item = int(joint_sequence[joint_ptr % n_i])
         joint_ptr += 1
-        # neighborhood like-rates from everything rated so far this round
+        # neighborhood like-rates from everything rated before this round
+        rated = sim.ledger.counts > 0
         signs = np.sign(rating_sum)
         has = rated & (signs != 0)
         co = has.astype(np.float64) @ has.T.astype(np.float64)
@@ -360,7 +352,7 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
         with np.errstate(invalid="ignore", divide="ignore"):
             frac = np.where(co > 0, agree / np.maximum(co, 1), 0.0)
         np.fill_diagonal(frac, 1.0)
-        neighbors = frac >= cfg.agreement
+        neighbors = frac >= AGREEMENT
         likes = neighbors.astype(np.float64) @ ((signs > 0) & rated)
         pulls = neighbors.astype(np.float64) @ rated
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -379,7 +371,7 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
                 item = int(free[int(np.argmax(scores))]) \
                     if np.isfinite(scores).any() else int(rng.choice(free))
             value, _ = sim.recommend(user, item, "greedy")
-            note(user, item, value)
+            rating_sum[user, item] += value
 
 
 # -- oracle and uniform random ------------------------------------------------

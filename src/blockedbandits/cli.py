@@ -32,12 +32,19 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A real number; a bool or a string is an error, not converted."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"not a real number: {value!r}")
+    return float(value)
+
+
 # dataset key -> (GeneratorSpec field, type); absent keys take its defaults
 _DATASET_FIELDS = {
     "name": ("name", str), "users": ("n_users", _integer),
     "items": ("n_items", _integer), "clusters": ("n_clusters", _integer),
     "horizon": ("horizon", _integer), "budget": ("budget", _integer),
-    "v_law": ("v_law", str), "v_scale": ("v_scale", float),
+    "v_law": ("v_law", str), "v_scale": ("v_scale", _real),
     "item_clusters": ("item_clusters", _integer),
 }
 _DATASET_KEYS = set(_DATASET_FIELDS) | {"noise"}
@@ -80,7 +87,7 @@ def parse_dataset(doc: dict) -> GeneratorSpec:
             _reject_unknown(value, _NOISE_KEYS, "dataset.noise")
             kwargs["noise"] = NoiseModel(
                 value.get("kind"),
-                _convert(float, value.get("sigma", 0.0), "dataset.noise.sigma"))
+                _convert(_real, value.get("sigma", 0.0), "dataset.noise.sigma"))
         elif not (key == "item_clusters" and value is None):
             field, convert = _DATASET_FIELDS[key]
             kwargs[field] = _convert(convert, value, f"dataset.{key}")

@@ -55,12 +55,9 @@ class SolverConfig:
     c_lambda: float = 2.0
     tol: float = 1e-8  # relative objective-change stopping rule
     max_iters: int = 2000
-    step: float = 1.0  # masked quadratic has Lipschitz constant 1
     lam_override: float | None = None  # explicit regulariser (practical variant)
 
     def __post_init__(self) -> None:
-        if not (0 < self.step <= 1):
-            raise ValueError("step must lie in (0, 1]")
         if self.tol <= 0 or self.max_iters < 1:
             raise ValueError("tol > 0 and max_iters >= 1 required")
 
@@ -114,8 +111,10 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
 
     Starts from the zero matrix and stops when the relative objective change
     drops below ``cfg.tol`` or after ``cfg.max_iters`` iterations (returning
-    the best iterate with ``converged=False`` in the latter case).  The
-    objective is non-increasing across iterations for any step in (0, 1].
+    the best iterate with ``converged=False`` in the latter case).  The step
+    is 1 / (largest observation count of a pair), the inverse Lipschitz
+    constant of the count-weighted quadratic, so the objective is
+    non-increasing across iterations.
 
     When sigma == 0 with a partial mask, the target regulariser is a tiny
     floor and a fixed-lam iteration from zero cannot fill unobserved entries
@@ -129,18 +128,13 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
     rows, cols = prob.omega[:, 0], prob.omega[:, 1]
     z_fill = np.zeros((prob.n_rows, prob.n_cols))
     np.add.at(z_fill, (rows, cols), prob.values)
-    dup = np.zeros((prob.n_rows, prob.n_cols))
-    np.add.at(dup, (rows, cols), 1.0)
-    step = cfg.step
-    if dup.max() > 1:
-        # repeated observations of a pair: gradient is count-weighted and the
-        # smoothness constant grows to the max count, so shrink the step
-        observed = dup > 0
-        z_fill[observed] /= dup[observed]
-        mask = dup  # weights
-        step = cfg.step / float(dup.max())
-    else:
-        mask = dup  # 0/1 weights
+    mask = np.zeros((prob.n_rows, prob.n_cols))
+    np.add.at(mask, (rows, cols), 1.0)
+    # the gradient weights each pair by its observation count, and z_fill
+    # holds each observed pair's mean
+    observed = mask > 0
+    z_fill[observed] /= mask[observed]
+    step = 1.0 / float(mask.max())
 
     if floored:
         # SVT moves unobserved entries by at most ~lam per iteration, so the
@@ -222,17 +216,17 @@ def estimate(n_rows: int, n_cols: int, omega: np.ndarray, values: np.ndarray,
         members = np.flatnonzero(assignment == q)
         if members.size == 0:
             continue
-        local_of = {int(g): i for i, g in enumerate(members)}
         sel = np.isin(axis, members)
         if not sel.any():
             empty.append(q)
             continue
         sub = omega[sel].copy()
+        # members is sorted, so searchsorted gives each index's local position
         if split_cols:
-            sub[:, 1] = [local_of[int(c)] for c in sub[:, 1]]
+            sub[:, 1] = np.searchsorted(members, sub[:, 1])
             shape = (n_rows, members.size)
         else:
-            sub[:, 0] = [local_of[int(r)] for r in sub[:, 0]]
+            sub[:, 0] = np.searchsorted(members, sub[:, 0])
             shape = (members.size, n_cols)
         prob = CompletionProblem(shape[0], shape[1], sub, values[sel],
                                  rank=rank, sigma=sigma)

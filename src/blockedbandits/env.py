@@ -372,19 +372,6 @@ class Simulation:
             raise BudgetError(f"user {user} has no unblocked item")
         return int(free[0])
 
-    def export_events(self, path: str) -> None:
-        """Write the event log as JSON lines, reuse markers included."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for ev in self.events:
-                fh.write(json.dumps({
-                    "round": ev.round, "user": ev.user, "item": ev.item,
-                    "purpose": ev.purpose, "reward": ev.reward}) + "\n")
-            for rnd, user, item, event_id in self.reuse_log:
-                fh.write(json.dumps({
-                    "round": rnd, "user": user, "item": item,
-                    "purpose": "reuse", "reward": self.events[event_id].reward,
-                }) + "\n")
-
 
 # -- instance (de)serialisation --------------------------------------------
 

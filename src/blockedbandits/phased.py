@@ -46,6 +46,11 @@ ACCURACY_TO_GAP = 88
 EXPLOIT_GAP_FACTOR = 64
 EDGE_FACTOR = 2
 
+# Deepest phase level that may explore; deeper tasks fill until the horizon.
+# At zero noise the sampling rate is the exploration floor, which does not
+# grow with the level, so p never reaches 1 to end the recursion.
+MAX_PHASES = 64
+
 # Item-set hook of the task loop: (active items, estimate rows of the group
 # over them, selected items, delta) -> the items to use in their place.
 Expand = Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray]
@@ -60,10 +65,8 @@ class PhasedConfig:
     reward_ceiling: float  # largest |expected reward|, sets the phase-1 scale
     mu_bound: float = 2.0  # incoherence bound fed to the sampling rule
     eps1: float | None = None  # phase-1 accuracy; defaults to reward_ceiling
-    sampling_c: float = 1.0  # constant in the sampling-probability rule
     floor_c: float = 1.5  # constant in the noiseless sampling floor
     solver: SolverConfig = field(default_factory=SolverConfig)
-    max_phases: int = 64
 
     def initial_accuracy(self) -> float:
         return self.reward_ceiling if self.eps1 is None else self.eps1
@@ -93,10 +96,10 @@ class RunReport:
 
 
 def sampling_prob(n_users: int, n_items: int, delta: float, sigma: float,
-                  mu_bound: float, c: float = 1.0) -> float:
+                  mu_bound: float) -> float:
     """Bernoulli rate that drives the completion error below ``delta``.
 
-    c * sigma^2 * mu^3 * log(d1) / (delta^2 * d2) with d1/d2 the larger and
+    sigma^2 * mu^3 * log(d1) / (delta^2 * d2) with d1/d2 the larger and
     smaller of the two dimensions.  Unclamped; the caller routes p >= 1 to
     the terminal branch.
     """
@@ -104,7 +107,7 @@ def sampling_prob(n_users: int, n_items: int, delta: float, sigma: float,
     d2 = min(n_users, n_items)
     if delta <= 0 or d2 == 0:
         return float("inf")
-    return c * (sigma ** 2) * (mu_bound ** 3) * math.log(d1) / (delta ** 2 * d2)
+    return sigma ** 2 * mu_bound ** 3 * math.log(d1) / (delta ** 2 * d2)
 
 
 def exploration_floor(n_users: int, n_items: int, mu_bound: float, rank: int,
@@ -320,12 +323,12 @@ def _run(sim: Simulation, cfg: PhasedConfig, rng: np.random.Generator,
             continue
 
         p_raw = sampling_prob(len(task.users), len(active), delta_next,
-                              cfg.sigma, cfg.mu_bound, cfg.sampling_c)
+                              cfg.sigma, cfg.mu_bound)
         p = max(p_raw, exploration_floor(len(task.users), len(active),
                                          cfg.mu_bound, cfg.n_clusters,
                                          cfg.floor_c))
         record.sampling_p = p
-        deep = task.level >= cfg.max_phases
+        deep = task.level >= MAX_PHASES
         if active.size >= horizon ** (1 / 3) and p < 1 and not deep:
             block, t0 = _explore(sim, task.users, active, t0, p, cfg.sigma,
                                  cfg.n_clusters, cfg.solver, rng)

@@ -139,13 +139,28 @@ class TestCommands:
         ("run", lambda d: d["algorithm"].update(params={"m_target": True})),
         ("run", lambda d: d.update(algorithm={
             "name": "practical", "params": {"centroid_smoothing": "no"}})),
+        ("run", lambda d: d["dataset"].update(v_scale=True)),
+        ("run", lambda d: d["dataset"].update(v_scale="5")),
+        ("run", lambda d: d["dataset"].update(noise={"kind": "gaussian",
+                                                     "sigma": True})),
+        ("run", lambda d: d["algorithm"].update(params={"constant": 2.0})),
+        ("run", lambda d: d.update(algorithm={
+            "name": "practical", "params": {"elbow_threshold": 0.2}})),
+        ("run", lambda d: d.update(algorithm={
+            "name": "phased", "params": {"max_phases": 3}})),
+        ("run", lambda d: d.update(dataset=dict(d["dataset"], name="d3"),
+                                   algorithm={"name": "collab-greedy",
+                                              "params": {"agreement": 0.4}})),
     ], ids=["users-abc", "noise-5", "sigma-x", "dataset-name", "etc-param",
             "random-param", "oracle-param", "algorithm-not-object",
             "sweep-users-x", "item-clusters-x", "seeds-ab",
             "datasets-not-list", "same-algorithm-label", "same-dataset-label",
             "users-fraction", "budget-bool", "seed-fraction", "seeds-bool",
             "algorithm-and-algorithms", "param-str-for-float",
-            "param-bool-for-float", "param-str-for-bool"])
+            "param-bool-for-float", "param-str-for-bool", "v-scale-bool",
+            "v-scale-str", "sigma-bool", "etc-constant",
+            "practical-elbow-threshold", "phased-max-phases",
+            "collab-greedy-agreement"])
     def test_bad_config_exits_before_any_cell(self, tmp_path, capsys,
                                              command, edit):
         base = RUN_DOC if command == "run" else SWEEP_DOC

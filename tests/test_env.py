@@ -217,16 +217,6 @@ class TestProtocol:
                                tiny_gaussian_instance.horizon)
         assert (items >= 0).all()
 
-    def test_event_log_export(self, tiny_gaussian_instance, tmp_path):
-        _, sim = run_algorithm(tiny_gaussian_instance, "random", 4)
-        path = tmp_path / "events.jsonl"
-        sim.export_events(str(path))
-        import json
-
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(lines) >= len(sim.events)
-        assert set(lines[0]) == {"round", "user", "item", "purpose", "reward"}
-
 
 class TestSerialisation:
     def test_instance_round_trip(self, tiny_gaussian_instance):

@@ -8,6 +8,9 @@ to make a change pass; a change that alters behaviour on purpose says so and
 records new digests.  The cases reach every purpose the phased engines log
 (explore, exploit, filler, fill) and, for the item-clustered variant,
 archived-observation reuse and observations that feed several estimates.
+The gap-practical case, taken from the code before the practical variant
+rebuilt its observations from the event log, observes pairs up to B = 5
+times, so its estimates average repeated observations.
 """
 
 import hashlib
@@ -87,6 +90,8 @@ GOLDEN = [
      "644e4f866a308616fd7d9c83b44ef535a3898b8f18a3504cdc21a222d17450b9"),
     ("gap", "phased", {"mu_bound": 1.5},
      "cfac6137509c8343c402aa9bea9a411d179ef38ce4973f76ef6d57a389af0af7"),
+    ("gap", "practical", {},
+     "506620d8a7e4e3f2006a3ce47dccb344bc7962f0275e82927b6b885c4127adc3"),
     ("items4", "item-phased", {"mu_bound": 1.5},
      "a4ca129a0f1626b603b5a45633c98cd2e55931c27f66ac0e2bba3e000d85e916"),
     ("items8", "item-phased", {"mu_bound": 1.5},

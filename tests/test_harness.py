@@ -187,9 +187,9 @@ class TestParamTypes:
     @pytest.mark.parametrize("name,params", [
         ("etc", {"m_target": 10}),
         ("etc", {"m_target": np.float64(2.5), "p_override": None}),
-        ("practical", {"kmeans_iters": np.int64(5), "sigma": 1,
+        ("practical", {"phase_length_base": np.int64(5), "gap_divisor": 1,
                        "centroid_smoothing": True}),
-        ("phased", {"solver": SolverConfig(max_iters=50), "max_phases": 3}),
+        ("phased", {"solver": SolverConfig(max_iters=50), "mu_bound": 3}),
     ])
     def test_well_typed_params_accepted(self, name, params):
         SweepSpec.make([("d", self.SPEC)], [("a", name, params)], [0])
@@ -197,7 +197,7 @@ class TestParamTypes:
     @pytest.mark.parametrize("name,params", [
         ("etc", {"m_target": "x"}),
         ("etc", {"m_target": True}),
-        ("practical", {"kmeans_iters": 5.0}),
+        ("practical", {"phase_length_base": 5.0}),
         ("practical", {"centroid_smoothing": 1}),
         ("phased", {"solver": {"max_iters": 50}}),
     ])

@@ -32,11 +32,10 @@ class TestSamplingProb:
         assert p2 == pytest.approx(p1 / 2)
 
     def test_arithmetic_example(self):
-        # c=1, sigma=0.5, delta=0.1, d1=d2=100, mu=1.3
+        # sigma=0.5, delta=0.1, d1=d2=100, mu=1.3
         mu = 1.3
-        expected = 1.0 * (0.25 * mu ** 3 * math.log(100)) / (0.01 * 100)
-        assert sampling_prob(100, 100, 0.1, 0.5, mu, c=1.0) == \
-            pytest.approx(expected)
+        expected = (0.25 * mu ** 3 * math.log(100)) / (0.01 * 100)
+        assert sampling_prob(100, 100, 0.1, 0.5, mu) == pytest.approx(expected)
 
     def test_floor_positive_at_zero_noise(self):
         assert sampling_prob(60, 60, 0.05, 0.0, 2.0) == 0.0
