@@ -62,8 +62,9 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "sign"):
             raise ConfigurationError(f"unknown noise kind {self.kind!r}")
-        if self.kind == "gaussian" and self.sigma < 0:
-            raise ConfigurationError("gaussian noise needs sigma >= 0")
+        if self.kind == "gaussian" and not 0 <= self.sigma < np.inf:
+            raise ConfigurationError(
+                f"gaussian noise needs a finite sigma >= 0, got {self.sigma}")
 
     @property
     def scale(self) -> float:
@@ -107,6 +108,9 @@ class GeneratorSpec:
         for name, value in sizes.items():
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        if not 0 < self.v_scale < np.inf:
+            raise ConfigurationError(
+                f"v_scale must be finite and > 0, got {self.v_scale}")
         if self.n_clusters > self.n_users:
             raise ConfigurationError("more clusters than users")
         if self.n_items * self.budget < self.horizon:

@@ -151,6 +151,13 @@ class TestCommands:
         ("run", lambda d: d.update(dataset=dict(d["dataset"], name="d3"),
                                    algorithm={"name": "collab-greedy",
                                               "params": {"agreement": 0.4}})),
+        ("run", lambda d: d.update(dataset=dict(
+            d["dataset"], name="custom",
+            noise={"kind": "gaussian", "sigma": float("nan")}))),
+        ("run", lambda d: d.update(dataset=dict(d["dataset"], name="custom",
+                                                v_scale=-5.0))),
+        ("run", lambda d: d.update(dataset=dict(d["dataset"], name="custom",
+                                                v_scale=float("inf")))),
     ], ids=["users-abc", "noise-5", "sigma-x", "dataset-name", "etc-param",
             "random-param", "oracle-param", "algorithm-not-object",
             "sweep-users-x", "item-clusters-x", "seeds-ab",
@@ -160,7 +167,8 @@ class TestCommands:
             "param-bool-for-float", "param-str-for-bool", "v-scale-bool",
             "v-scale-str", "sigma-bool", "etc-constant",
             "practical-elbow-threshold", "phased-max-phases",
-            "collab-greedy-agreement"])
+            "collab-greedy-agreement", "sigma-nan", "v-scale-negative",
+            "v-scale-infinite"])
     def test_bad_config_exits_before_any_cell(self, tmp_path, capsys,
                                              command, edit):
         base = RUN_DOC if command == "run" else SWEEP_DOC
