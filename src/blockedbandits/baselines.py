@@ -241,7 +241,8 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
                     else:
                         cand = g.active[free] if free.any() \
                             else sim.unblocked_in(user, all_items)
-                        item, pos, purpose = int(rng.choice(cand)), None, "explore"
+                        item = int(cand[rng.integers(cand.size)])
+                        pos, purpose = None, "explore"
                     value, _ = sim.recommend(user, item, purpose,
                                              consumable=True)
                     if pos is not None:
@@ -251,10 +252,10 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
         if t >= horizon:
             break
 
-        # every recommendation is one event, so event ids index these arrays
-        ev_user = np.array([ev.user for ev in sim.events], dtype=np.int64)
-        ev_item = np.array([ev.item for ev in sim.events], dtype=np.int64)
-        ev_reward = np.array([ev.reward for ev in sim.events])
+        # the event log's columns, indexed by event id
+        n = sim.n_events
+        ev_user, ev_item = sim.event_user[:n], sim.event_item[:n]
+        ev_reward = sim.event_reward[:n]
         # per-(user, item) observed reward sums and counts, for the group scores
         reward_sum = np.zeros((inst.n_users, inst.n_items))
         np.add.at(reward_sum, (ev_user, ev_item), ev_reward)
@@ -362,14 +363,15 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
             draw = rng.random()
             free = sim.unblocked_in(user, all_items)
             if draw < p_rand:
-                item = int(rng.choice(free))
+                item = int(free[rng.integers(free.size)])
             elif draw < p_rand + p_joint:
                 item = joint_item if not sim.ledger.is_blocked(user, joint_item) \
-                    else int(rng.choice(free))
+                    else int(free[rng.integers(free.size)])
             else:
                 scores = like_rate[user, free]
                 item = int(free[int(np.argmax(scores))]) \
-                    if np.isfinite(scores).any() else int(rng.choice(free))
+                    if np.isfinite(scores).any() \
+                    else int(free[rng.integers(free.size)])
             value, _ = sim.recommend(user, item, "greedy")
             rating_sum[user, item] += value
 
@@ -390,4 +392,4 @@ def run_random(sim: Simulation, rng: np.random.Generator) -> None:
     for _ in range(inst.horizon):
         for user in range(inst.n_users):
             free = sim.unblocked_in(user, all_items)
-            sim.recommend(user, int(rng.choice(free)), "random")
+            sim.recommend(user, int(free[rng.integers(free.size)]), "random")

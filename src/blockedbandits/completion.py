@@ -68,6 +68,7 @@ class SolveResult:
     objectives: list[float]
     converged: bool
     lam: float
+    iterations: int  # SVT steps (one SVD each), the warm-up stages included
 
 
 @dataclass
@@ -75,6 +76,7 @@ class EstimateResult:
     matrix: np.ndarray
     empty_blocks: list[int] = field(default_factory=list)
     converged: bool = True
+    iterations: int = 0  # summed over the solved blocks
 
 
 def _svt(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,7 +127,8 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
     floor and a fixed-lam iteration from zero cannot fill unobserved entries
     (they move O(lam) per step), so that case runs a warm-started decreasing
     lam schedule of plain proximal steps ending at the floor; the reported
-    objective trace is the final stage's.
+    objective trace is the final stage's, while ``iterations`` counts every
+    step of every stage.
     """
     if len(prob.omega) == 0:
         raise ValueError("solve_block needs a nonempty observation set")
@@ -194,7 +197,7 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
             continue
         t_old, t = t, (1.0 + np.sqrt(1.0 + 4.0 * t * t)) / 2.0
         y = x + (t_old / t) * (z - x) + ((t_old - 1.0) / t) * (x - x_prev)
-    return SolveResult(x, objectives, converged, lam)
+    return SolveResult(x, objectives, converged, lam, cfg.max_iters - budget)
 
 
 def partition_count(n_rows: int, n_cols: int) -> int:
@@ -226,6 +229,7 @@ def estimate(n_rows: int, n_cols: int, omega: np.ndarray, values: np.ndarray,
 
     empty: list[int] = []
     all_converged = True
+    iterations = 0
     axis = omega[:, 1] if split_cols else omega[:, 0]
     for q in range(k):
         members = np.flatnonzero(assignment == q)
@@ -247,11 +251,13 @@ def estimate(n_rows: int, n_cols: int, omega: np.ndarray, values: np.ndarray,
                                  rank=rank, sigma=sigma)
         res = solve_block(prob, cfg)
         all_converged &= res.converged
+        iterations += res.iterations
         if split_cols:
             out[:, members] = res.matrix
         else:
             out[members, :] = res.matrix
-    return EstimateResult(out, empty_blocks=empty, converged=all_converged)
+    return EstimateResult(out, empty_blocks=empty, converged=all_converged,
+                          iterations=iterations)
 
 
 # -- instance diagnostics ----------------------------------------------------

@@ -7,6 +7,9 @@ horizon ``T`` and the per-(user, item) recommendation budget ``B``.  A
 every user is recommended exactly one item per round and that no pair is
 recommended more than ``B`` times, while keeping the bookkeeping needed for
 observation reuse and post-hoc audits.
+
+The event log is columnar, one preallocated array per field, and
+``Simulation.events`` is a read-only view of it as :class:`Event` records.
 """
 
 from __future__ import annotations
@@ -278,6 +281,12 @@ class Simulation:
     observation a user would see at round t does not depend on which item the
     policy happens to pick -- policies compared under the same seed face the
     same randomness.
+
+    The event log is one length-M*T array per field, indexed by event id
+    and filled up to ``n_events``: ``event_round`` (1-based), ``event_user``,
+    ``event_item``, ``event_purpose`` (codes into ``purposes``) and
+    ``event_reward``.  ``consumed`` holds (event id, estimate-call id) pairs
+    in call order.
     """
 
     def __init__(self, inst: Instance, seed: int, reusable_ledger: bool = False):
@@ -285,7 +294,15 @@ class Simulation:
         self.seed = seed
         self.ledger = BlockingLedger(inst.n_users, inst.n_items, inst.budget,
                                      reusable=reusable_ledger)
-        self.events: list[Event] = []
+        size = inst.n_users * inst.horizon  # recommend allows no more events
+        self.event_round = np.zeros(size, dtype=np.int64)
+        self.event_user = np.zeros(size, dtype=np.int64)
+        self.event_item = np.zeros(size, dtype=np.int64)
+        self.event_purpose = np.zeros(size, dtype=np.uint8)
+        self.event_reward = np.zeros(size)
+        self.n_events = 0
+        self.purposes: dict[str, int] = {}  # purpose -> code, first use first
+        self.consumed: list[tuple[int, int]] = []  # (event_id, call_id)
         self.reuse_log: list[tuple[int, int, int, int]] = []  # (round, user, item, event_id)
         self.rounds_done = np.zeros(inst.n_users, dtype=np.int64)
         noise_rng = stream(seed, "noise")
@@ -321,9 +338,15 @@ class Simulation:
         if t > self.instance.horizon:
             raise ProtocolError(f"user {user} already has {t - 1} rounds")
         value = self.observe(user, item, t)
-        event_id = len(self.events)
+        event_id = self.n_events
         self.ledger.record(user, item, value, event_id, consumable)
-        self.events.append(Event(t, user, item, purpose, value))
+        self.event_round[event_id] = t
+        self.event_user[event_id] = user
+        self.event_item[event_id] = item
+        self.event_purpose[event_id] = self.purposes.setdefault(
+            purpose, len(self.purposes))
+        self.event_reward[event_id] = value
+        self.n_events = event_id + 1
         self.rounds_done[user] = t
         return value, event_id
 
@@ -336,11 +359,25 @@ class Simulation:
     def mark_consumed(self, event_ids: list[int]) -> int:
         """Record a new estimate call as consuming ``event_ids``; its id."""
         self._estimate_calls += 1
-        for eid in event_ids:
-            self.events[eid].consumers.append(self._estimate_calls)
+        self.consumed.extend((eid, self._estimate_calls) for eid in event_ids)
         return self._estimate_calls
 
     # -- bulk views --------------------------------------------------------
+
+    @property
+    def events(self) -> list[Event]:
+        """Read-only view: the log as :class:`Event` records, rebuilt from
+        the columns on each access."""
+        n = self.n_events
+        consumers: list[list[int]] = [[] for _ in range(n)]
+        for eid, call in self.consumed:
+            consumers[eid].append(call)
+        names = list(self.purposes)
+        columns = (self.event_round, self.event_user, self.event_item,
+                   self.event_purpose, self.event_reward)
+        return [Event(t, user, item, names[code], reward, calls)
+                for t, user, item, code, reward, calls
+                in zip(*(col[:n].tolist() for col in columns), consumers)]
 
     def finished(self) -> bool:
         return bool((self.rounds_done == self.instance.horizon).all())
@@ -349,12 +386,12 @@ class Simulation:
         """(M, T) chosen item per user per round; requires a finished run."""
         if not self.finished():
             raise ProtocolError("run incomplete: not every user has T rounds")
+        n = self.n_events
         out = np.full((self.instance.n_users, self.instance.horizon), -1,
                       dtype=np.int64)
-        for ev in self.events:
-            if out[ev.user, ev.round - 1] != -1:
-                raise ProtocolError("duplicate recommendation in a round")
-            out[ev.user, ev.round - 1] = ev.item
+        out[self.event_user[:n], self.event_round[:n] - 1] = self.event_item[:n]
+        if (out < 0).any():
+            raise ProtocolError("a (user, round) slot has no recommendation")
         return out
 
     def unblocked_in(self, user: int, items: np.ndarray) -> np.ndarray:

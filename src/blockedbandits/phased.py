@@ -156,12 +156,14 @@ class _Task:
 
 
 def _pick_filler(sim: Simulation, user: int, active: np.ndarray,
-                 exclude: set[int], rng: np.random.Generator) -> int:
-    """Unblocked item outside ``exclude``, preferring the active set."""
+                 excluded: np.ndarray | None, rng: np.random.Generator) -> int:
+    """A uniform draw from the unblocked active items outside the boolean
+    item mask ``excluded`` (None: no mask); failing that, ``any_unblocked``."""
     cand = sim.unblocked_in(user, active)
-    cand = cand[[c not in exclude for c in cand]] if exclude else cand
+    if excluded is not None:
+        cand = cand[~excluded[cand]]
     if cand.size:
-        return int(rng.choice(cand))
+        return int(cand[rng.integers(cand.size)])
     return sim.any_unblocked(user, active)
 
 
@@ -187,7 +189,8 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     consumed_ids: list[int] = []
     for lu, user in enumerate(users):
         queue = per_user[lu]
-        in_omega = {int(active[lj]) for lj in queue}
+        in_omega = np.zeros(inst.n_items, dtype=bool)
+        in_omega[active[queue]] = True
         for lj in queue[: m]:
             item = int(active[lj])
             if not sim.ledger.is_blocked(user, item):
@@ -278,7 +281,7 @@ def _fill_until_end(sim: Simulation, users: np.ndarray, active: np.ndarray,
     horizon = sim.instance.horizon
     for user in users:
         for _ in range(t0, horizon):
-            sim.recommend(user, _pick_filler(sim, user, active, set(), rng),
+            sim.recommend(user, _pick_filler(sim, user, active, None, rng),
                           "fill")
 
 

@@ -165,6 +165,20 @@ def d1_block() -> CompletionProblem:
     return CompletionProblem(150, 150, np.argwhere(mask), values, rank=4, sigma=0.5)
 
 
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Counts the np.linalg.svd calls made while the test runs."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    return calls
+
+
 class TestMfista:
     def test_converges_where_proximal_gradient_stalls(self):
         # lam near the practical variant's on paperfig d1 (about 1.41)
@@ -177,17 +191,10 @@ class TestMfista:
         old = reference[-1]
         assert nuclear_objective(res.matrix, prob, lam) <= old + 1e-9 * abs(old)
 
-    def test_rejected_steps_keep_trace_monotone_and_counted(self, monkeypatch):
+    def test_rejected_steps_keep_trace_monotone_and_counted(self, monkeypatch,
+                                                            svd_calls):
         truth = incoherent_low_rank(60, 4, seed=1)
         prob = masked_problem(truth, 0.08, 0.5, seed=1)
-        svd_calls = []
-        svd = np.linalg.svd
-
-        def counting_svd(*args, **kwargs):
-            svd_calls.append(1)
-            return svd(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
         cfg = SolverConfig()
         res = solve_block(prob, cfg)
         monkeypatch.undo()
@@ -195,12 +202,35 @@ class TestMfista:
         steps = np.diff(objs)
         assert (steps <= 0).all()
         assert (steps[:-1] == 0).any()  # a momentum step was rejected
-        assert len(objs) - 1 == len(svd_calls)
+        assert len(objs) - 1 == len(svd_calls) == res.iterations
         # converged only where a plain step from the result gains at most
         # tol, not on the zero change a rejected momentum step records
         assert res.converged
         gain = plain_step_decrease(prob, res.matrix, res.lam)
         assert gain <= cfg.tol * max(1.0, abs(objs[-1]))
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_iterations_count_every_svd_step(self, monkeypatch, svd_calls,
+                                             sigma):
+        # at sigma 0 the floored schedule's warm-up stages run plain steps
+        # that the final stage's objective trace does not record
+        prob = masked_problem(incoherent_low_rank(30, 2, seed=3), 0.5, sigma,
+                              seed=3)
+        res = solve_block(prob)
+        monkeypatch.undo()
+        assert res.iterations == len(svd_calls)
+        if sigma == 0.0:
+            assert len(res.objectives) - 1 < res.iterations
+        else:
+            assert len(res.objectives) - 1 == res.iterations
+
+    def test_estimate_sums_block_iterations(self, monkeypatch, svd_calls):
+        truth = incoherent_low_rank(12, 2, seed=4)[:, :6]
+        prob = masked_problem(truth, 0.7, 0.1, seed=4)  # two 6x6 blocks
+        res = estimate(12, 6, prob.omega, prob.values, 0.1, 2, SolverConfig(),
+                       stream(4, "zeta"))
+        monkeypatch.undo()
+        assert res.iterations == len(svd_calls) > 0
 
 
 class TestEstimate:

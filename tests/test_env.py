@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,14 @@ from blockedbandits.env import (
     GeneratorSpec,
     Instance,
     NoiseModel,
+    ProtocolError,
     Simulation,
     generate_instance,
     instance_from_json,
     instance_to_json,
     mean_reward_matrix,
 )
-from blockedbandits.harness import run_algorithm
+from blockedbandits.harness import ALGORITHMS, run_algorithm
 from blockedbandits.rng import stream
 
 
@@ -216,6 +219,81 @@ class TestProtocol:
         assert items.shape == (tiny_gaussian_instance.n_users,
                                tiny_gaussian_instance.horizon)
         assert (items >= 0).all()
+
+    def test_choice_matrix_of_unfinished_run_rejected(self,
+                                                      tiny_gaussian_instance):
+        sim = Simulation(tiny_gaussian_instance, 0)
+        for user in range(tiny_gaussian_instance.n_users):
+            for item in range(tiny_gaussian_instance.horizon - (user == 5)):
+                sim.recommend(user, item, "x")  # user 5 is one round short
+        with pytest.raises(ProtocolError, match="incomplete"):
+            sim.choice_matrix()
+
+    def test_recommend_past_horizon_rejected(self, tiny_gaussian_instance):
+        sim = Simulation(tiny_gaussian_instance, 0)
+        for item in range(tiny_gaussian_instance.horizon):
+            sim.recommend(3, item, "x")
+        with pytest.raises(ProtocolError, match="already has 8 rounds"):
+            sim.recommend(3, 9, "x")
+        assert sim.n_events == tiny_gaussian_instance.horizon
+
+    def test_consumers_listed_in_call_order(self, tiny_gaussian_instance):
+        sim = Simulation(tiny_gaussian_instance, 0)
+        ids = [sim.recommend(0, item, "explore", consumable=True)[1]
+               for item in range(3)]
+        assert sim.mark_consumed(ids[:2]) == 1
+        assert sim.mark_consumed(ids[1:]) == 2
+        events = sim.events
+        assert [ev.consumers for ev in events] == [[1], [1, 2], [2]]
+        assert [(ev.round, ev.user, ev.item, ev.purpose)
+                for ev in events] == [(1, 0, 0, "explore"),
+                                      (2, 0, 1, "explore"),
+                                      (3, 0, 2, "explore")]
+        events[0].consumers.append(7)  # the records are a copy of the log
+        assert sim.events[0].consumers == [1]
+
+
+@st.composite
+def tiny_d3_spec(draw) -> GeneratorSpec:
+    n_users = draw(st.integers(1, 10))
+    n_items = draw(st.integers(1, 10))
+    budget = draw(st.integers(1, 3))
+    return GeneratorSpec(name="d3", n_users=n_users, n_items=n_items,
+                         n_clusters=draw(st.integers(1, min(n_users, 3))),
+                         horizon=draw(st.integers(1, n_items * budget)),
+                         budget=budget)
+
+
+class TestInvariants:
+    """Protocol invariants of every registered algorithm, checked on the
+    event columns; d3's sign feedback is what collab-greedy needs."""
+
+    @pytest.mark.parametrize("name", sorted(ALGORITHMS))
+    @given(spec=tiny_d3_spec(), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=40, deadline=None)
+    def test_run_keeps_protocol(self, name, spec, seed):
+        inst = generate_instance(spec, seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # etc's exploration-rate clamp
+            trace, sim = run_algorithm(inst, name, seed)
+        m, n, horizon = inst.n_users, inst.n_items, inst.horizon
+        users = sim.event_user[:sim.n_events]
+        items = sim.event_item[:sim.n_events]
+        rounds = sim.event_round[:sim.n_events]
+        pairs = np.bincount(users * n + items, minlength=m * n)
+        assert (pairs.reshape(m, n) == sim.ledger.counts).all()
+        assert sim.ledger.max_pair_count() <= inst.budget
+        assert sim.n_events == m * horizon
+        order = np.lexsort((rounds, users))
+        assert (users[order].reshape(m, horizon)
+                == np.arange(m)[:, None]).all()
+        assert (rounds[order].reshape(m, horizon)
+                == np.arange(1, horizon + 1)).all()
+        expected = np.full((m, horizon), -1)
+        for ev in sim.events:
+            expected[ev.user, ev.round - 1] = ev.item
+        assert (sim.choice_matrix() == expected).all()
+        assert trace.final_regret >= -1e-9
 
 
 class TestSerialisation:
