@@ -12,6 +12,11 @@ The gap-practical case, taken from the code before the practical variant
 rebuilt its observations from the event log, observes pairs up to B = 5
 times, so its estimates average repeated observations.
 
+The d3-b2 cases repeat the d3 instance at B = 2, so the random draw, the
+fill, collaborative greedy and the commit walk (ETC at a rate that commits,
+and the oracle) recommend pairs twice; they were taken before those policies
+recorded their recommendations in batches.
+
 The d1-etc digest was re-taken when the completion solver became MFISTA:
 its one 40x40 block used to stop after 1279 proximal-gradient steps, and
 MFISTA converges in 190 to an objective 2.5e-6 (relative) lower, which
@@ -20,6 +25,7 @@ Every other digest, d1-practical included, was unchanged by that change.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -43,6 +49,8 @@ EXPLORING_SPEC = GeneratorSpec(name="custom", n_users=60, n_items=60,
 def _instance(case: str):
     if case in ("d1", "d3"):
         return generate_instance(_spec(case), 0)
+    if case == "d3-b2":
+        return generate_instance(replace(_spec("d3"), budget=2), 0)
     if case == "explore":
         return generate_instance(EXPLORING_SPEC, 0)
     if case == "gap":
@@ -102,6 +110,16 @@ GOLDEN = [
      "a4ca129a0f1626b603b5a45633c98cd2e55931c27f66ac0e2bba3e000d85e916"),
     ("items8", "item-phased", {"mu_bound": 1.5},
      "a2614a2caf78e3687a397872422148f232230ee334e51d06645a4f53b7e5f39c"),
+    ("d3-b2", "random", {},
+     "bdc1f2318f586afa5fb90dd6e79d74cd12fd0b7b8b23e9f656248a0832935e71"),
+    ("d3-b2", "oracle", {},
+     "a546a525fcb70463cb2fbdc8e5ee21492c1c9980b47c970147e2c760d918e9b3"),
+    ("d3-b2", "etc", {"m_target": 4.0},
+     "be2dce18a268ba8c5ff687596d8f3023f15a9aa405e2543223f81a21f68a1e5f"),
+    ("d3-b2", "collab-greedy", {},
+     "3bdf04be4bce7c994dd65a8779fcdd301d7a685cdfb189b77b2f0c7aa40cc0b2"),
+    ("d3-b2", "phased", {},
+     "5eff2968a78cc8c189eecc95fb944584b95324f50deb5aefbfc7a9d58e1010f4"),
 ]
 
 
