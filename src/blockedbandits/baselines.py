@@ -83,16 +83,15 @@ def run_etc(sim: Simulation, cfg: EtcConfig, rng: np.random.Generator) -> None:
 
 def _commit(sim: Simulation, scores: np.ndarray, purpose: str) -> None:
     """Each user walks down its stable descending order of ``scores``,
-    skipping pairs at budget, until it has T rounds."""
+    skipping pairs at budget, until it has T rounds; all walks are recorded
+    as one batch."""
     inst = sim.instance
     order = np.argsort(-scores, axis=1, kind="stable")
-    for user in range(inst.n_users):
-        counts = sim.ledger.counts_row(user)
-        pointer = 0
-        for _ in range(sim.round_of(user), inst.horizon):
-            while counts[order[user, pointer]] >= inst.budget:
-                pointer += 1
-            sim.recommend(user, int(order[user, pointer]), purpose)
+    walks = [np.repeat(row, inst.budget - sim.ledger.counts_row(user)[row])
+             [:inst.horizon - sim.round_of(user)]
+             for user, row in enumerate(order)]
+    users = np.repeat(np.arange(inst.n_users), [w.size for w in walks])
+    sim.recommend_many(users, np.concatenate(walks), purpose)
 
 
 # -- practical phased variant (k-means refinement + in-group exploitation) --
@@ -339,7 +338,7 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     rating_sum = np.zeros((n_u, n_i))
     joint_sequence = rng.permutation(n_i)
     joint_ptr = 0
-    all_items = np.arange(n_i)
+    users = np.arange(n_u)
     for t in range(1, horizon + 1):
         p_rand, p_joint = explore_probabilities(t, cfg)
         joint_item = int(joint_sequence[joint_ptr % n_i])
@@ -359,21 +358,26 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
         with np.errstate(invalid="ignore", divide="ignore"):
             like_rate = np.where(pulls > 0, likes / np.maximum(pulls, 1),
                                  -np.inf)
+        # every user's pick under each branch; users are distinct within a
+        # round, so the round's own picks do not change these
+        free = sim.ledger.counts < inst.budget
+        scores = np.where(free, like_rate, -np.inf)
+        picks = scores.argmax(axis=1)
+        greedy_ok = np.isfinite(scores).any(axis=1).tolist()
+        joint_ok = free[:, joint_item].tolist()
+        sizes = free.sum(axis=1).tolist()
+        kth = np.full(n_u, -1)  # the k-th free item, for uniform picks
         for user in range(n_u):
             draw = rng.random()
-            free = sim.unblocked_in(user, all_items)
-            if draw < p_rand:
-                item = int(free[rng.integers(free.size)])
-            elif draw < p_rand + p_joint:
-                item = joint_item if not sim.ledger.is_blocked(user, joint_item) \
-                    else int(free[rng.integers(free.size)])
-            else:
-                scores = like_rate[user, free]
-                item = int(free[int(np.argmax(scores))]) \
-                    if np.isfinite(scores).any() \
-                    else int(free[rng.integers(free.size)])
-            value, _ = sim.recommend(user, item, "greedy")
-            rating_sum[user, item] += value
+            joint = p_rand <= draw < p_rand + p_joint
+            if joint and joint_ok[user]:
+                picks[user] = joint_item
+            elif draw < p_rand or joint or not greedy_ok[user]:
+                kth[user] = rng.integers(sizes[user])
+        uniform = kth >= 0
+        picks[uniform] = _kth_free(free[uniform], kth[uniform])
+        values, _ = sim.recommend_many(users, picks, "greedy")
+        rating_sum[users, picks] += values
 
 
 # -- oracle and uniform random ------------------------------------------------
@@ -386,10 +390,18 @@ def run_oracle(sim: Simulation) -> None:
     _commit(sim, mean_reward_matrix(sim.instance), "oracle")
 
 
+def _kth_free(free: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Per row of the boolean matrix ``free``, the index of its k-th (from
+    0) True entry."""
+    return (np.cumsum(free, axis=1) > k[:, None]).argmax(axis=1)
+
+
 def run_random(sim: Simulation, rng: np.random.Generator) -> None:
+    """Each round, every user gets a uniform draw from its unblocked items;
+    one array-bounded draw per round, the same stream as a draw per user."""
     inst = sim.instance
-    all_items = np.arange(inst.n_items)
+    users = np.arange(inst.n_users)
     for _ in range(inst.horizon):
-        for user in range(inst.n_users):
-            free = sim.unblocked_in(user, all_items)
-            sim.recommend(user, int(free[rng.integers(free.size)]), "random")
+        free = sim.ledger.counts < inst.budget
+        picks = _kth_free(free, rng.integers(0, free.sum(axis=1)))
+        sim.recommend_many(users, picks, "random")

@@ -48,6 +48,8 @@ _DATASET_FIELDS = {
     "item_clusters": ("item_clusters", _integer),
 }
 _DATASET_KEYS = set(_DATASET_FIELDS) | {"noise"}
+# keys a canonical dataset (d1, d2, d3) defines itself
+_CANONICAL_FIXED = {"noise", "v_law", "v_scale"}
 _NOISE_KEYS = {"kind", "sigma"}
 _ALGO_KEYS = {"name", "params"}
 _RUN_KEYS = {"dataset", "algorithm", "algorithms", "seeds", "out_dir"}
@@ -91,6 +93,10 @@ def parse_dataset(doc: dict) -> GeneratorSpec:
         elif not (key == "item_clusters" and value is None):
             field, convert = _DATASET_FIELDS[key]
             kwargs[field] = _convert(convert, value, f"dataset.{key}")
+    fixed = sorted(_CANONICAL_FIXED & set(doc))
+    if kwargs.get("name") in ("d1", "d2", "d3") and fixed:
+        raise ConfigurationError(
+            f"dataset {kwargs['name']} fixes {fixed}; use name 'custom' to set them")
     return GeneratorSpec(**kwargs)
 
 
@@ -213,8 +219,8 @@ def cmd_paperfig(args) -> int:
     if name not in ("d1", "d2", "d3"):
         raise ConfigurationError("paperfig dataset must be one of d1, d2, d3")
     scale = float(args.scale)
-    if scale <= 0:
-        raise ConfigurationError("scale must be positive")
+    if not 0 < scale < np.inf:
+        raise ConfigurationError(f"scale must be finite and > 0, got {scale}")
     size = max(2, round(150 * scale))
     horizon = max(2, round(60 * scale))
     spec = GeneratorSpec(name=name, n_users=size, n_items=size,

@@ -10,6 +10,10 @@ observation reuse and post-hoc audits.
 
 The event log is columnar, one preallocated array per field, and
 ``Simulation.events`` is a read-only view of it as :class:`Event` records.
+``Simulation.recommend`` records one recommendation and
+``Simulation.recommend_many`` a batch, with the same effect as the scalar
+call on each pair in order; the ledger keeps the observations stored for
+reuse as per-pair stacks of event ids in two arrays.
 """
 
 from __future__ import annotations
@@ -213,24 +217,37 @@ def mean_reward_matrix(inst: Instance) -> np.ndarray:
     return 2.0 * inst.rewards - 1.0
 
 
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stable sort order of ``keys``, and which sorted positions start a
+    run of equal keys."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    return order, np.r_[True, ordered[1:] != ordered[:-1]]
+
+
 class BlockingLedger:
     """Per-(user, item) budget counter and the reusable-observation store.
 
     ``counts[u, j]`` counts every recommendation of the pair, whether its
     observation was fed to an estimation call at once or stored for reuse;
-    it never exceeds the budget.  ``stored[(u, j)]`` lists the pair's stored
-    (value, event_id) observations.  In strict mode each is consumed once,
+    it never exceeds the budget.  Stored observations are event ids kept as
+    one stack per pair: ``top[u, j]`` is the pair's most recent stored event
+    (-1 for none) and ``below[e]`` the stored event under ``e``; values are
+    read from the event log's reward column ``event_reward``, whose length
+    bounds the event ids.  In strict mode each observation is consumed once,
     most recent first.  ``reusable=True`` is the regime of the item-clustered
     variant, where every observation is kept forever and may feed any number
     of estimates.
     """
 
     def __init__(self, n_users: int, n_items: int, budget: int,
-                 reusable: bool = False):
+                 event_reward: np.ndarray, reusable: bool = False):
         self.budget = budget
         self.reusable = reusable
         self.counts = np.zeros((n_users, n_items), dtype=np.uint32)
-        self.stored: dict[tuple[int, int], list[tuple[float, int]]] = {}
+        self.top = np.full((n_users, n_items), -1, dtype=np.int64)
+        self.below = np.full(event_reward.size, -1, dtype=np.int64)
+        self._event_reward = event_reward
 
     def count(self, user: int, item: int) -> int:
         return int(self.counts[user, item])
@@ -245,21 +262,47 @@ class BlockingLedger:
     def max_pair_count(self) -> int:
         return int(self.counts.max())
 
-    def record(self, user: int, item: int, value: float, event_id: int,
+    def record(self, user: int, item: int, event_id: int,
                consumable: bool) -> None:
         if self.count(user, item) >= self.budget:
             raise BudgetError(f"budget exhausted for user {user}, item {item}")
         self.counts[user, item] += 1
         if self.reusable or not consumable:
-            self.stored.setdefault((user, item), []).append((value, event_id))
+            self.below[event_id] = self.top[user, item]
+            self.top[user, item] = event_id
+
+    def record_many(self, users: np.ndarray, items: np.ndarray,
+                    event_ids: np.ndarray, consumable: bool) -> None:
+        """``record`` for each pair in order; raises before any write."""
+        pairs = np.ravel_multi_index((users, items), self.counts.shape)
+        order, starts = _runs(pairs)
+        ordered, stacked = pairs[order], event_ids[order]
+        ends = np.r_[starts[1:], True]
+        last = ordered[ends]  # each distinct pair once
+        counts = self.counts.reshape(-1)
+        after = counts[last] + np.diff(np.flatnonzero(ends), prepend=-1)
+        if after.max() > self.budget:
+            user, item = np.unravel_index(last[after.argmax()],
+                                          self.counts.shape)
+            raise BudgetError(f"budget exhausted for user {user}, item {item}")
+        counts[last] = after
+        if self.reusable or not consumable:
+            top = self.top.reshape(-1)
+            self.below[stacked] = np.where(starts, top[ordered],
+                                           np.r_[-1, stacked[:-1]])
+            top[last] = stacked[ends]
 
     def has_reusable(self, user: int, item: int) -> bool:
-        return bool(self.stored.get((user, item)))
+        return bool(self.top[user, item] >= 0)
 
     def take_reusable(self, user: int, item: int) -> tuple[float, int]:
         """The most recent stored observation; strict mode consumes it."""
-        observations = self.stored[(user, item)]
-        return observations[-1] if self.reusable else observations.pop()
+        event_id = int(self.top[user, item])
+        if event_id < 0:
+            raise KeyError((user, item))
+        if not self.reusable:
+            self.top[user, item] = self.below[event_id]
+        return float(self._event_reward[event_id]), event_id
 
 
 @dataclass
@@ -287,19 +330,25 @@ class Simulation:
     ``event_item``, ``event_purpose`` (codes into ``purposes``) and
     ``event_reward``.  ``consumed`` holds (event id, estimate-call id) pairs
     in call order.
+
+    ``recommend`` is the scalar path, for policies whose next pick depends
+    on the last observation.  ``recommend_many`` records a whole batch, such
+    as a round of every user or a user's remaining rounds, in a few array
+    operations; it writes what the scalar calls in batch order would write,
+    down to the event ids and the ledger's stacks.
     """
 
     def __init__(self, inst: Instance, seed: int, reusable_ledger: bool = False):
         self.instance = inst
         self.seed = seed
-        self.ledger = BlockingLedger(inst.n_users, inst.n_items, inst.budget,
-                                     reusable=reusable_ledger)
         size = inst.n_users * inst.horizon  # recommend allows no more events
         self.event_round = np.zeros(size, dtype=np.int64)
         self.event_user = np.zeros(size, dtype=np.int64)
         self.event_item = np.zeros(size, dtype=np.int64)
         self.event_purpose = np.zeros(size, dtype=np.uint8)
         self.event_reward = np.zeros(size)
+        self.ledger = BlockingLedger(inst.n_users, inst.n_items, inst.budget,
+                                     self.event_reward, reusable=reusable_ledger)
         self.n_events = 0
         self.purposes: dict[str, int] = {}  # purpose -> code, first use first
         self.consumed: list[tuple[int, int]] = []  # (event_id, call_id)
@@ -339,7 +388,7 @@ class Simulation:
             raise ProtocolError(f"user {user} already has {t - 1} rounds")
         value = self.observe(user, item, t)
         event_id = self.n_events
-        self.ledger.record(user, item, value, event_id, consumable)
+        self.ledger.record(user, item, event_id, consumable)
         self.event_round[event_id] = t
         self.event_user[event_id] = user
         self.event_item[event_id] = item
@@ -349,6 +398,47 @@ class Simulation:
         self.n_events = event_id + 1
         self.rounds_done[user] = t
         return value, event_id
+
+    def recommend_many(self, users: np.ndarray, items: np.ndarray,
+                       purpose: str, consumable: bool = False,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """``recommend`` on each (users[i], items[i]) in order, recorded at
+        once: the same events, ledger counts and stacks.  Returns the
+        observed values and the event ids.  Checks the whole batch before
+        any write: :class:`ProtocolError` if a user would pass round T, then
+        :class:`BudgetError` if a pair would pass the budget, and a failed
+        batch leaves the simulation as it was."""
+        users = np.asarray(users, dtype=np.int64)
+        items = np.asarray(items, dtype=np.int64)
+        if not users.size:
+            return np.zeros(0), np.zeros(0, dtype=np.int64)
+        order, starts = _runs(users)
+        steps = np.arange(users.size)
+        repeat = np.empty_like(steps)  # earlier batch entries of the same user
+        repeat[order] = steps - np.maximum.accumulate(np.where(starts, steps, 0))
+        rounds = self.rounds_done[users] + repeat + 1
+        if rounds.max() > self.instance.horizon:
+            user = users[rounds.argmax()]
+            raise ProtocolError(f"user {user} would pass round "
+                                f"{self.instance.horizon}")
+        event_ids = self.n_events + steps
+        self.ledger.record_many(users, items, event_ids, consumable)
+        mean = self.instance.rewards[users, items]
+        noise = self._noise[users, rounds - 1]
+        if self.instance.noise.kind == "gaussian":
+            values = mean + noise
+        else:
+            values = np.where(noise < mean, 1.0, -1.0)
+        batch = slice(self.n_events, self.n_events + users.size)
+        self.event_round[batch] = rounds
+        self.event_user[batch] = users
+        self.event_item[batch] = items
+        self.event_purpose[batch] = self.purposes.setdefault(
+            purpose, len(self.purposes))
+        self.event_reward[batch] = values
+        self.n_events += users.size
+        self.rounds_done += np.bincount(users, minlength=self.instance.n_users)
+        return values, event_ids
 
     def reuse_observation(self, user: int, item: int) -> tuple[float, int]:
         """Pull a stored observation for (user, item) without using a round."""

@@ -145,8 +145,9 @@ def _accepts(hint, value) -> bool:
         return any(_accepts(arg, value) for arg in typing.get_args(hint))
     if isinstance(value, bool):
         return hint is bool
-    return isinstance(value, {int: numbers.Integral,
-                              float: numbers.Real}.get(hint, hint))
+    if hint is float:  # a real number, and not NaN or infinite
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, {int: numbers.Integral}.get(hint, hint))
 
 
 def _check_algorithm(name: str, params) -> None:

@@ -156,12 +156,11 @@ class _Task:
 
 
 def _pick_filler(sim: Simulation, user: int, active: np.ndarray,
-                 excluded: np.ndarray | None, rng: np.random.Generator) -> int:
+                 excluded: np.ndarray, rng: np.random.Generator) -> int:
     """A uniform draw from the unblocked active items outside the boolean
-    item mask ``excluded`` (None: no mask); failing that, ``any_unblocked``."""
+    item mask ``excluded``; failing that, ``any_unblocked``."""
     cand = sim.unblocked_in(user, active)
-    if excluded is not None:
-        cand = cand[~excluded[cand]]
+    cand = cand[~excluded[cand]]
     if cand.size:
         return int(cand[rng.integers(cand.size)])
     return sim.any_unblocked(user, active)
@@ -278,11 +277,28 @@ def _exploit(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
 
 def _fill_until_end(sim: Simulation, users: np.ndarray, active: np.ndarray,
                     t0: int, rng: np.random.Generator) -> None:
-    horizon = sim.instance.horizon
+    """A uniform draw from the unblocked active items for every user and
+    round left, recorded as one batch.  Each user draws from a list of its
+    unblocked active items, which an item leaves when it reaches the budget;
+    an empty list falls back to the lowest unblocked item, as
+    ``any_unblocked`` does."""
+    budget = sim.instance.budget
+    picks: list[int] = []
     for user in users:
-        for _ in range(t0, horizon):
-            sim.recommend(user, _pick_filler(sim, user, active, None, rng),
-                          "fill")
+        counts = sim.ledger.counts_row(user).copy()
+        cand = active[counts[active] < budget].tolist()
+        for _ in range(t0, sim.instance.horizon):
+            if not cand:
+                item = int(np.flatnonzero(counts < budget)[0])
+            else:
+                pos = int(rng.integers(len(cand)))
+                item = cand[pos]
+                if counts[item] + 1 >= budget:
+                    del cand[pos]
+            counts[item] += 1
+            picks.append(item)
+    sim.recommend_many(np.repeat(users, sim.instance.horizon - t0), picks,
+                       "fill")
 
 
 def run_phased(sim: Simulation, cfg: PhasedConfig,

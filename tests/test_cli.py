@@ -12,7 +12,12 @@ from blockedbandits.cli import (
     main,
     parse_dataset,
 )
-from blockedbandits.env import GeneratorSpec, generate_instance, instance_to_json
+from blockedbandits.env import (
+    ConfigurationError,
+    GeneratorSpec,
+    generate_instance,
+    instance_to_json,
+)
 from blockedbandits.harness import ALGORITHMS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -89,6 +94,25 @@ class TestConfig:
         for doc in (RUN_DOC, example):
             jsonschema.validate(doc, schema)
 
+    @pytest.mark.parametrize("name,key,value,valid", [
+        ("d3", "noise", {"kind": "gaussian", "sigma": 0.5}, False),
+        ("d1", "v_law", "uniform", False),
+        ("d2", "v_scale", 2.0, False),
+        ("custom", "noise", {"kind": "gaussian", "sigma": 0.5}, True),
+        ("custom", "v_scale", 2.0, True)])
+    def test_schema_and_reader_fix_canonical_dataset_keys(self, name, key,
+                                                          value, valid):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((ROOT / "docs" / "run_config.schema.json").read_text())
+        dataset = {"name": name, key: value}
+        assert jsonschema.Draft202012Validator(schema).is_valid(
+            {"dataset": dataset}) == valid
+        if valid:
+            parse_dataset(dataset)
+        else:
+            with pytest.raises(ConfigurationError, match="fixes"):
+                parse_dataset(dataset)
+
 
 class TestCommands:
     def test_run_deterministic_outputs(self, tmp_path):
@@ -158,6 +182,19 @@ class TestCommands:
                                                 v_scale=-5.0))),
         ("run", lambda d: d.update(dataset=dict(d["dataset"], name="custom",
                                                 v_scale=float("inf")))),
+        ("run", lambda d: d.update(algorithm={
+            "name": "phased", "params": {"mu_bound": float("nan")}})),
+        ("run", lambda d: d["algorithm"].update(
+            params={"p_override": float("nan")})),
+        ("run", lambda d: d["algorithm"].update(
+            params={"m_target": float("inf")})),
+        ("run", lambda d: d.update(dataset=dict(d["dataset"], name="d3"),
+                                   algorithm={"name": "collab-greedy",
+                                              "params": {"theta": float("nan")}})),
+        ("run", lambda d: d["dataset"].update(
+            name="d3", noise={"kind": "gaussian", "sigma": 0.5})),
+        ("run", lambda d: d["dataset"].update(name="d1", v_law="uniform")),
+        ("sweep", lambda d: d["datasets"][0].update(v_scale=2.0)),
     ], ids=["users-abc", "noise-5", "sigma-x", "dataset-name", "etc-param",
             "random-param", "oracle-param", "algorithm-not-object",
             "sweep-users-x", "item-clusters-x", "seeds-ab",
@@ -168,13 +205,22 @@ class TestCommands:
             "v-scale-str", "sigma-bool", "etc-constant",
             "practical-elbow-threshold", "phased-max-phases",
             "collab-greedy-agreement", "sigma-nan", "v-scale-negative",
-            "v-scale-infinite"])
+            "v-scale-infinite", "phased-mu-bound-nan", "etc-p-override-nan",
+            "etc-m-target-inf", "collab-greedy-theta-nan", "d3-noise",
+            "d1-v-law", "d2-v-scale"])
     def test_bad_config_exits_before_any_cell(self, tmp_path, capsys,
                                              command, edit):
         base = RUN_DOC if command == "run" else SWEEP_DOC
         assert run_cli(tmp_path, command, edited(base, edit)) == 1
         assert "kind=config" in capsys.readouterr().err
         assert not list(tmp_path.glob("out/*.csv"))
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-0.5"])
+    def test_paperfig_bad_scale_is_config_error(self, tmp_path, capsys, scale):
+        assert main(["paperfig", "d1", scale, "--out-dir", str(tmp_path),
+                     "--quiet"]) == 1
+        assert "kind=config" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_file_is_config_error(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1

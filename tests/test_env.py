@@ -179,9 +179,12 @@ class TestLedger:
                           horizon=8, budget=2), seed=0)
         sim = Simulation(inst, 0)
         value, event_id = sim.recommend(0, 1, "filler", consumable=False)
-        assert sim.ledger.stored[(0, 1)] == [(value, event_id)]
-        got, _ = sim.reuse_observation(0, 1)
-        assert got == value
+        # one stored observation: the pair's stack holds this event alone
+        assert sim.ledger.top[0, 1] == event_id
+        assert sim.ledger.below[event_id] == -1
+        assert sim.ledger.has_reusable(0, 1)
+        got = sim.reuse_observation(0, 1)
+        assert got == (value, event_id)
         assert sim.ledger.count(0, 1) == 1  # reuse uses no budget
         assert not sim.ledger.has_reusable(0, 1)
 
@@ -251,6 +254,110 @@ class TestProtocol:
                                       (3, 0, 2, "explore")]
         events[0].consumers.append(7)  # the records are a copy of the log
         assert sim.events[0].consumers == [1]
+
+
+def _state(sim: Simulation) -> dict:
+    """Everything a recommendation or a reuse may write, as plain values."""
+    n = sim.n_events
+    columns = (sim.event_round, sim.event_user, sim.event_item,
+               sim.event_purpose, sim.event_reward)
+    return {"n_events": n, "columns": [col[:n].tolist() for col in columns],
+            "counts": sim.ledger.counts.tolist(),
+            "top": sim.ledger.top.tolist(), "below": sim.ledger.below.tolist(),
+            "rounds_done": sim.rounds_done.tolist(),
+            "reuse_log": list(sim.reuse_log), "purposes": dict(sim.purposes)}
+
+
+def _loop_allows(sim: Simulation, pairs: list[tuple[int, int]]) -> bool:
+    """Whether ``recommend`` on each pair in order would raise nothing."""
+    counts = sim.ledger.counts.astype(np.int64)
+    rounds = sim.rounds_done.copy()
+    for user, item in pairs:
+        rounds[user] += 1
+        counts[user, item] += 1
+        if rounds[user] > sim.instance.horizon \
+                or counts[user, item] > sim.instance.budget:
+            return False
+    return True
+
+
+class TestRecommendMany:
+    """A batch is recorded as ``recommend`` on each pair in order would
+    record it, and a batch that would fail writes nothing."""
+
+    @given(data=st.data(), name=st.sampled_from(["d2", "d3"]),
+           budget=st.integers(1, 3), reusable=st.booleans(),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_matches_scalar_loop(self, data, name, budget, reusable,
+                                       seed):
+        n_users, n_items = 3, 4
+        inst = generate_instance(GeneratorSpec(
+            name=name, n_users=n_users, n_items=n_items, n_clusters=2,
+            horizon=min(6, n_items * budget), budget=budget), seed)
+        batch_sim = Simulation(inst, seed, reusable_ledger=reusable)
+        loop_sim = Simulation(inst, seed, reusable_ledger=reusable)
+        pair = st.tuples(st.integers(0, n_users - 1),
+                         st.integers(0, n_items - 1))
+        for _ in range(data.draw(st.integers(1, 8))):
+            op = data.draw(st.sampled_from(["batch", "scalar", "reuse"]))
+            if op == "reuse":
+                user, item = data.draw(pair)
+                if loop_sim.ledger.has_reusable(user, item):
+                    assert batch_sim.reuse_observation(user, item) == \
+                        loop_sim.reuse_observation(user, item)
+                continue
+            pairs = data.draw(st.lists(
+                pair, min_size=1, max_size=1 if op == "scalar" else 6))
+            purpose = data.draw(st.sampled_from(["a", "b"]))
+            consumable = data.draw(st.booleans())
+            users, items = (list(col) for col in zip(*pairs))
+            if not _loop_allows(loop_sim, pairs):
+                before = _state(batch_sim)
+                with pytest.raises((BudgetError, ProtocolError)):
+                    batch_sim.recommend_many(users, items, purpose, consumable)
+                assert _state(batch_sim) == before
+                continue
+            expected = [loop_sim.recommend(u, j, purpose, consumable)
+                        for u, j in pairs]
+            if op == "scalar":
+                got = [batch_sim.recommend(users[0], items[0], purpose,
+                                           consumable)]
+            else:
+                values, event_ids = batch_sim.recommend_many(
+                    users, items, purpose, consumable)
+                got = list(zip(values.tolist(), event_ids.tolist()))
+            assert got == expected
+            assert _state(batch_sim) == _state(loop_sim)
+        assert _state(batch_sim) == _state(loop_sim)
+
+    def test_batch_past_budget_raises_and_writes_nothing(self):
+        inst = generate_instance(
+            GeneratorSpec(name="custom", n_users=2, n_items=3, n_clusters=1,
+                          horizon=4, budget=2), seed=0)
+        sim = Simulation(inst, 0)
+        sim.recommend(0, 1, "x")
+        before = _state(sim)
+        with pytest.raises(BudgetError, match="user 0, item 1"):
+            sim.recommend_many([1, 0, 0], [2, 1, 1], "y")
+        assert _state(sim) == before
+        assert sim.n_events == 1
+        assert sim.ledger.counts.tolist() == [[0, 1, 0], [0, 0, 0]]
+        assert sim.rounds_done.tolist() == [1, 0]
+
+    def test_batch_past_horizon_raises_and_writes_nothing(self):
+        inst = generate_instance(
+            GeneratorSpec(name="custom", n_users=2, n_items=4, n_clusters=1,
+                          horizon=3, budget=1), seed=0)
+        sim = Simulation(inst, 0)
+        sim.recommend(1, 0, "x")
+        before = _state(sim)
+        with pytest.raises(ProtocolError, match="user 1"):
+            sim.recommend_many([0, 1, 1, 1], [0, 1, 2, 3], "y")
+        assert _state(sim) == before
+        assert sim.n_events == 1
+        assert sim.ledger.counts.tolist() == [[0, 0, 0, 0], [1, 0, 0, 0]]
+        assert sim.rounds_done.tolist() == [0, 1]
 
 
 @st.composite
