@@ -312,9 +312,13 @@ class CollabGreedyConfig:
     theta: float = 0.5  # random-exploration probability decays as t^-theta
     alpha: float = 0.5  # joint-exploration probability decays as t^-alpha
 
-
-# co-rating agreement that makes two users neighbors
-AGREEMENT = 0.5
+    def __post_init__(self) -> None:
+        # t^0 = 1 would explore uniformly every round, and a negative
+        # exponent makes the "probability" grow past 1
+        for name in ("theta", "alpha"):
+            if not getattr(self, name) > 0:
+                raise ConfigurationError(
+                    f"collab-greedy {name} must be > 0, got {getattr(self, name)}")
 
 
 def explore_probabilities(t: int, cfg: CollabGreedyConfig) -> tuple[float, float]:
@@ -329,6 +333,15 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     neighborhood of users whose co-rated items agree at least half the time.
     Reconstructed baseline; exact neighborhood details follow common practice
     rather than any single reference implementation.
+
+    The neighbourhood statistics live in float32 indicator matrices that are
+    updated only at each round's M picks: ``signs`` (the sign of each pair's
+    rating sum), ``has`` (whether that sign is nonzero) and ``marks``, which
+    is ``[liked | rated]`` side by side.  Every product of them is a count of
+    at most max(M, N) < 2^24, which float32 holds exactly whatever order BLAS
+    sums in.  Two users who co-rated ``co > 0`` items with sign product sum
+    ``dot`` agree on (co + dot) / 2 of them, so "agree at least half the
+    time" is exactly ``dot >= 0``, with no rounded quotient to compare.
     """
     inst = sim.instance
     if inst.noise.kind != "sign":
@@ -336,6 +349,10 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     n_u, n_i = inst.n_users, inst.n_items
     horizon = inst.horizon
     rating_sum = np.zeros((n_u, n_i))
+    signs = np.zeros((n_u, n_i), dtype=np.float32)
+    has = np.zeros((n_u, n_i), dtype=np.float32)
+    marks = np.zeros((n_u, 2 * n_i), dtype=np.float32)
+    marks[:, n_i:] = sim.ledger.counts > 0
     joint_sequence = rng.permutation(n_i)
     joint_ptr = 0
     users = np.arange(n_u)
@@ -344,26 +361,23 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
         joint_item = int(joint_sequence[joint_ptr % n_i])
         joint_ptr += 1
         # neighborhood like-rates from everything rated before this round
-        rated = sim.ledger.counts > 0
-        signs = np.sign(rating_sum)
-        has = rated & (signs != 0)
-        co = has.astype(np.float64) @ has.T.astype(np.float64)
-        agree = (co + signs @ signs.T) / 2.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(co > 0, agree / np.maximum(co, 1), 0.0)
-        np.fill_diagonal(frac, 1.0)
-        neighbors = frac >= AGREEMENT
-        likes = neighbors.astype(np.float64) @ ((signs > 0) & rated)
-        pulls = neighbors.astype(np.float64) @ rated
-        with np.errstate(invalid="ignore", divide="ignore"):
-            like_rate = np.where(pulls > 0, likes / np.maximum(pulls, 1),
-                                 -np.inf)
+        co = has @ has.T
+        dot = signs @ signs.T
+        neighbors = (co > 0) & (dot >= 0)
+        np.fill_diagonal(neighbors, True)
+        counts = neighbors.astype(np.float32) @ marks
+        likes, pulls = counts[:, :n_i], counts[:, n_i:]
         # every user's pick under each branch; users are distinct within a
-        # round, so the round's own picks do not change these
+        # round, so the round's own picks do not change these.  The rates
+        # are float64 quotients of exact counts: equal rates compare equal,
+        # and argmax takes the lowest such item.
         free = sim.ledger.counts < inst.budget
-        scores = np.where(free, like_rate, -np.inf)
+        scorable = free & (pulls > 0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            like_rate = likes.astype(np.float64) / pulls
+        scores = np.where(scorable, like_rate, -np.inf)
         picks = scores.argmax(axis=1)
-        greedy_ok = np.isfinite(scores).any(axis=1).tolist()
+        greedy_ok = scorable.any(axis=1).tolist()
         joint_ok = free[:, joint_item].tolist()
         sizes = free.sum(axis=1).tolist()
         kth = np.full(n_u, -1)  # the k-th free item, for uniform picks
@@ -378,6 +392,11 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
         picks[uniform] = _kth_free(free[uniform], kth[uniform])
         values, _ = sim.recommend_many(users, picks, "greedy")
         rating_sum[users, picks] += values
+        sign = np.sign(rating_sum[users, picks])
+        signs[users, picks] = sign
+        has[users, picks] = sign != 0
+        marks[users, picks] = sign > 0
+        marks[users, n_i + picks] = 1.0
 
 
 # -- oracle and uniform random ------------------------------------------------

@@ -48,8 +48,6 @@ _DATASET_FIELDS = {
     "item_clusters": ("item_clusters", _integer),
 }
 _DATASET_KEYS = set(_DATASET_FIELDS) | {"noise"}
-# keys a canonical dataset (d1, d2, d3) defines itself
-_CANONICAL_FIXED = {"noise", "v_law", "v_scale"}
 _NOISE_KEYS = {"kind", "sigma"}
 _ALGO_KEYS = {"name", "params"}
 _RUN_KEYS = {"dataset", "algorithm", "algorithms", "seeds", "out_dir"}
@@ -93,10 +91,6 @@ def parse_dataset(doc: dict) -> GeneratorSpec:
         elif not (key == "item_clusters" and value is None):
             field, convert = _DATASET_FIELDS[key]
             kwargs[field] = _convert(convert, value, f"dataset.{key}")
-    fixed = sorted(_CANONICAL_FIXED & set(doc))
-    if kwargs.get("name") in ("d1", "d2", "d3") and fixed:
-        raise ConfigurationError(
-            f"dataset {kwargs['name']} fixes {fixed}; use name 'custom' to set them")
     return GeneratorSpec(**kwargs)
 
 
@@ -144,7 +138,7 @@ def _run_grid(args, doc: dict, datasets: list, algo_docs: list,
         seeds = list(range(args.seeds))
     spec = SweepSpec.make(datasets, algorithms, seeds)
     out_dir = _convert(Path, args.out_dir or doc.get("out_dir") or ".", "out_dir")
-    _emit(sweep(spec, threads=max(1, args.threads)), out_dir, stem, args.quiet)
+    _emit(sweep(spec, threads=args.threads), out_dir, stem, args.quiet)
     return 0
 
 
@@ -238,7 +232,7 @@ def cmd_paperfig(args) -> int:
     seeds = list(range(args.seeds if args.seeds is not None else 5))
     out_dir = Path(args.out_dir or ".")
     results = sweep(SweepSpec.make([(name, spec)], algorithms, seeds),
-                    threads=max(1, args.threads))
+                    threads=args.threads)
     stem = f"paperfig_{name}"
     _emit(results, out_dir, stem, args.quiet)
     script = out_dir / f"plot_{stem}.py"
@@ -259,8 +253,27 @@ def cmd_diag(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors: one ``error kind=config``
+    line and exit 1, where argparse would print usage text and exit 2."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def _threads(text: str) -> int:
+    """A sweep worker count, >= 1."""
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blockedbandits",
         description="Budget-constrained collaborative bandit experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-dir", default=None)
         p.add_argument("--seeds", type=int, default=None,
                        help="number of seeds (0..n-1), overriding the config")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=_threads, default=1)
         p.add_argument("--quiet", action="store_true")
 
     p_run = sub.add_parser("run", help="run one dataset/algorithm config")
@@ -297,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigurationError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"error kind=config msg={exc}", file=sys.stderr)

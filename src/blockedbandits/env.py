@@ -81,6 +81,16 @@ class NoiseModel:
         return self.sigma if self.kind == "gaussian" else 1.0
 
 
+# (v_law, v_scale, noise) of each canonical dataset, and the defaults a
+# custom dataset takes for the ones it leaves unset
+_CANONICAL = {
+    "d1": ("normal", 5.0, NoiseModel("gaussian", 0.5)),
+    "d2": ("uniform", 5.0, NoiseModel("gaussian", 0.5)),
+    "d3": ("grid", 1.0, NoiseModel("sign")),
+}
+_CUSTOM_DEFAULTS = ("uniform", 5.0, NoiseModel("gaussian", 0.5))
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for a synthetic instance.
@@ -91,6 +101,12 @@ class GeneratorSpec:
     * d2 -- item factors drawn U(0, 5), gaussian noise sigma^2 = 0.25
     * d3 -- item factors drawn equiprobably from the ten-point grid
       0.05, 0.15, ..., 0.95; observations are +/-1 sign feedback
+
+    ``v_law``, ``v_scale`` and ``noise`` left None are filled in by
+    ``resolved()``: a canonical dataset fixes all three, so setting any of
+    them on d1-d3 is an error (only the full triple that ``resolved()``
+    writes is accepted), and a custom dataset defaults to U(0, 5) factors
+    with gaussian noise sigma 0.5.
 
     User i belongs to cluster i mod C.  ``item_clusters`` (optional) adds a
     latent item clustering: entry (i, j) then depends only on the pair of
@@ -103,9 +119,9 @@ class GeneratorSpec:
     n_clusters: int = 4
     horizon: int = 60
     budget: int = 1
-    v_law: str = "uniform"  # "normal" | "uniform" | "grid"  (custom only)
-    v_scale: float = 5.0  # stddev for "normal", upper bound for "uniform"
-    noise: NoiseModel = NoiseModel("gaussian", 0.5)
+    v_law: str | None = None  # "normal" | "uniform" | "grid"
+    v_scale: float | None = None  # stddev for "normal", bound for "uniform"
+    noise: NoiseModel | None = None
     item_clusters: int | None = None
 
     def __post_init__(self) -> None:
@@ -115,29 +131,33 @@ class GeneratorSpec:
         for name, value in sizes.items():
             if value is not None and value < 1:
                 raise ConfigurationError(f"{name} must be >= 1, got {value}")
-        if not 0 < self.v_scale < np.inf:
+        if self.v_scale is not None and not 0 < self.v_scale < np.inf:
             raise ConfigurationError(
                 f"v_scale must be finite and > 0, got {self.v_scale}")
         if self.n_clusters > self.n_users:
             raise ConfigurationError("more clusters than users")
         if self.n_items * self.budget < self.horizon:
             raise ConfigurationError("infeasible: N*B < T")
-        if self.name not in ("custom", "d1", "d2", "d3"):
+        if self.name not in ("custom", *_CANONICAL):
             raise ConfigurationError(f"unknown dataset {self.name!r}")
-        if self.name == "custom" and self.v_law not in ("normal", "uniform", "grid"):
+        laws = (self.v_law, self.v_scale, self.noise)
+        if self.name in _CANONICAL and laws not in ((None,) * 3,
+                                                    _CANONICAL[self.name]):
+            fixed = sorted(key for key, value in
+                           zip(("v_law", "v_scale", "noise"), laws)
+                           if value is not None)
+            raise ConfigurationError(
+                f"dataset {self.name} fixes {fixed}; use name 'custom' to set them")
+        if self.v_law not in (None, "normal", "uniform", "grid"):
             raise ConfigurationError(f"unknown item-factor law {self.v_law!r}")
 
     def resolved(self) -> "GeneratorSpec":
-        if self.name == "custom":
-            return self
-        if self.name == "d1":
-            return replace(self, v_law="normal", v_scale=5.0,
-                           noise=NoiseModel("gaussian", 0.5))
-        if self.name == "d2":
-            return replace(self, v_law="uniform", v_scale=5.0,
-                           noise=NoiseModel("gaussian", 0.5))
-        return replace(self, v_law="grid", v_scale=1.0,  # d3
-                       noise=NoiseModel("sign"))
+        """The spec with ``v_law``, ``v_scale`` and ``noise`` filled in."""
+        law, scale, noise = _CANONICAL.get(self.name, _CUSTOM_DEFAULTS)
+        return replace(
+            self, v_law=law if self.v_law is None else self.v_law,
+            v_scale=scale if self.v_scale is None else self.v_scale,
+            noise=noise if self.noise is None else self.noise)
 
 
 @dataclass(frozen=True)

@@ -151,8 +151,9 @@ def _accepts(hint, value) -> bool:
 
 
 def _check_algorithm(name: str, params) -> None:
-    """Reject an unregistered algorithm name, or a param that its config
-    dataclass lacks or annotates with another type."""
+    """Reject an unregistered algorithm name, a param that its config
+    dataclass lacks or annotates with another type, or a value that the
+    config's own checks reject."""
     if name not in ALGORITHMS:
         raise ConfigurationError(
             f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}")
@@ -164,6 +165,11 @@ def _check_algorithm(name: str, params) -> None:
     for key, value in sorted(dict(params or {}).items()):
         if not _accepts(hints[key], value):
             raise ConfigurationError(f"invalid param {key}={value!r} for {name}")
+    # a config with value checks of its own runs them here, before any cell
+    # (the phased config has none: it is built per instance)
+    config = _PARAMS[name]
+    if hasattr(config, "__post_init__"):
+        config(**dict(params or {}))
 
 
 def run_algorithm(inst: Instance, name: str, seed: int,

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockedbandits.baselines import (
@@ -15,6 +15,7 @@ from blockedbandits.baselines import (
     pick_k_elbow,
     run_collab_greedy,
     run_practical,
+    _kth_free,
 )
 from blockedbandits.env import (
     ConfigurationError,
@@ -194,6 +195,59 @@ class TestKMeans:
         assert k <= 2
 
 
+def reference_collab_greedy(sim, cfg, rng):
+    """``run_collab_greedy`` with the float64 round body it had before its
+    statistics moved to float32 indicator state: every round rebuilds
+    ``rated``, ``signs`` and ``has`` and compares the agreement quotient
+    with 0.5.  Kept verbatim as the reference of the equivalence test."""
+    inst = sim.instance
+    n_u, n_i = inst.n_users, inst.n_items
+    horizon = inst.horizon
+    rating_sum = np.zeros((n_u, n_i))
+    joint_sequence = rng.permutation(n_i)
+    joint_ptr = 0
+    users = np.arange(n_u)
+    for t in range(1, horizon + 1):
+        p_rand, p_joint = explore_probabilities(t, cfg)
+        joint_item = int(joint_sequence[joint_ptr % n_i])
+        joint_ptr += 1
+        # neighborhood like-rates from everything rated before this round
+        rated = sim.ledger.counts > 0
+        signs = np.sign(rating_sum)
+        has = rated & (signs != 0)
+        co = has.astype(np.float64) @ has.T.astype(np.float64)
+        agree = (co + signs @ signs.T) / 2.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            frac = np.where(co > 0, agree / np.maximum(co, 1), 0.0)
+        np.fill_diagonal(frac, 1.0)
+        neighbors = frac >= 0.5
+        likes = neighbors.astype(np.float64) @ ((signs > 0) & rated)
+        pulls = neighbors.astype(np.float64) @ rated
+        with np.errstate(invalid="ignore", divide="ignore"):
+            like_rate = np.where(pulls > 0, likes / np.maximum(pulls, 1),
+                                 -np.inf)
+        # every user's pick under each branch; users are distinct within a
+        # round, so the round's own picks do not change these
+        free = sim.ledger.counts < inst.budget
+        scores = np.where(free, like_rate, -np.inf)
+        picks = scores.argmax(axis=1)
+        greedy_ok = np.isfinite(scores).any(axis=1).tolist()
+        joint_ok = free[:, joint_item].tolist()
+        sizes = free.sum(axis=1).tolist()
+        kth = np.full(n_u, -1)  # the k-th free item, for uniform picks
+        for user in range(n_u):
+            draw = rng.random()
+            joint = p_rand <= draw < p_rand + p_joint
+            if joint and joint_ok[user]:
+                picks[user] = joint_item
+            elif draw < p_rand or joint or not greedy_ok[user]:
+                kth[user] = rng.integers(sizes[user])
+        uniform = kth >= 0
+        picks[uniform] = _kth_free(free[uniform], kth[uniform])
+        values, _ = sim.recommend_many(users, picks, "greedy")
+        rating_sum[users, picks] += values
+
+
 class TestCollabGreedy:
     def test_exploration_probability_schedule(self):
         cfg = CollabGreedyConfig(theta=0.5, alpha=0.5)
@@ -218,6 +272,55 @@ class TestCollabGreedy:
             trace, _ = run_algorithm(inst, "collab-greedy", seed)
             vals.append(trace.roundwise_mean_reward[20:].mean())
         assert np.mean(vals) >= 0.8
+
+    @staticmethod
+    def assert_matches_reference(inst, seed, cfg):
+        """The policy and the float64 reference make the same events and
+        leave their decision streams in the same state."""
+        runs = []
+        for policy in (run_collab_greedy, reference_collab_greedy):
+            sim = Simulation(inst, seed)
+            rng = stream(seed, "decisions:collab-greedy")
+            policy(sim, cfg, rng)
+            runs.append((sim, rng))
+        (new, new_rng), (old, old_rng) = runs
+        n = old.n_events
+        assert new.n_events == n
+        np.testing.assert_array_equal(new.event_item[:n], old.event_item[:n])
+        np.testing.assert_array_equal(new.event_reward[:n],
+                                      old.event_reward[:n])
+        np.testing.assert_array_equal(new.rounds_done, old.rounds_done)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    @settings(max_examples=80, deadline=None)
+    @given(m=st.integers(2, 30), n=st.integers(2, 30),
+           budget=st.integers(1, 3), horizon=st.integers(1, 40),
+           clusters=st.integers(1, 4), seed=st.integers(0, 2 ** 16),
+           theta=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+           alpha=st.sampled_from([0.25, 0.5, 1.0, 3.0]))
+    # a user whose only ratings cancel (+1 then -1 on one item, B = 3) has
+    # no co-rated item with anyone, itself included: only the diagonal
+    # keeps its own ratings in its like-rates
+    @example(m=6, n=4, budget=3, horizon=6, clusters=2, seed=0, theta=3.0,
+             alpha=3.0)
+    def test_matches_float64_reference(self, m, n, budget, horizon, clusters,
+                                       seed, theta, alpha):
+        inst = generate_instance(
+            GeneratorSpec(name="d3", n_users=m, n_items=n,
+                          n_clusters=min(clusters, m),
+                          horizon=min(horizon, n * budget), budget=budget),
+            seed)
+        self.assert_matches_reference(inst, seed,
+                                      CollabGreedyConfig(theta, alpha))
+
+    def test_matches_reference_past_float16_range(self):
+        # 2600 users who like every item 95% of the time: by round 5 most
+        # users are neighbours and the like and pull counts pass 2^11, above
+        # which float16 rounds odd integers and reorders near-equal rates
+        m, n = 2600, 4
+        inst = Instance(m, n, 8, 3, 1, np.zeros(m, dtype=int),
+                        np.full((m, n), 0.95), NoiseModel("sign"))
+        self.assert_matches_reference(inst, 0, CollabGreedyConfig(3.0, 0.3))
 
     def test_burns_budget_correctly(self):
         inst = generate_instance(

@@ -195,6 +195,16 @@ class TestCommands:
             name="d3", noise={"kind": "gaussian", "sigma": 0.5})),
         ("run", lambda d: d["dataset"].update(name="d1", v_law="uniform")),
         ("sweep", lambda d: d["datasets"][0].update(v_scale=2.0)),
+        ("run", lambda d: d.update(dataset=dict(d["dataset"], name="d3"),
+                                   algorithm={"name": "collab-greedy",
+                                              "params": {"theta": -1.0,
+                                                         "alpha": -2.0}})),
+        ("run", lambda d: d.update(dataset=dict(d["dataset"], name="d3"),
+                                   algorithm={"name": "collab-greedy",
+                                              "params": {"theta": 0.0}})),
+        ("sweep", lambda d: d.update(
+            datasets=[dict(d["datasets"][0], name="d3")],
+            algorithms=[{"name": "collab-greedy", "params": {"alpha": 0}}])),
     ], ids=["users-abc", "noise-5", "sigma-x", "dataset-name", "etc-param",
             "random-param", "oracle-param", "algorithm-not-object",
             "sweep-users-x", "item-clusters-x", "seeds-ab",
@@ -207,7 +217,8 @@ class TestCommands:
             "collab-greedy-agreement", "sigma-nan", "v-scale-negative",
             "v-scale-infinite", "phased-mu-bound-nan", "etc-p-override-nan",
             "etc-m-target-inf", "collab-greedy-theta-nan", "d3-noise",
-            "d1-v-law", "d2-v-scale"])
+            "d1-v-law", "d2-v-scale", "collab-greedy-negative-exponents",
+            "collab-greedy-theta-zero", "collab-greedy-alpha-zero"])
     def test_bad_config_exits_before_any_cell(self, tmp_path, capsys,
                                              command, edit):
         base = RUN_DOC if command == "run" else SWEEP_DOC
@@ -221,6 +232,32 @@ class TestCommands:
                      "--quiet"]) == 1
         assert "kind=config" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [
+        ["run"], ["paperfig", "d9", "1.0"], ["paperfig", "d1", "abc"],
+        ["sweep", "--config", "{config}", "--threads", "two"], ["bogus"],
+        ["sweep", "--config", "{config}", "--threads", "0"],
+        ["sweep", "--config", "{config}", "--threads", "-2"]],
+        ids=["run-without-config", "paperfig-unknown-dataset",
+             "paperfig-scale-not-number", "threads-not-integer",
+             "unknown-subcommand", "threads-zero", "threads-negative"])
+    def test_usage_error_is_one_config_line(self, tmp_path, capsys, argv):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps(SWEEP_DOC))
+        argv = [arg.format(config=config) for arg in argv]
+        assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error kind=config msg=")
+        assert len(captured.err.splitlines()) == 1
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        assert "usage: blockedbandits" in capsys.readouterr().out
 
     def test_missing_file_is_config_error(self):
         assert main(["run", "--config", "/nonexistent/cfg.json"]) == 1

@@ -78,6 +78,35 @@ class TestGenerator:
         with pytest.raises(ConfigurationError, match=match):
             GeneratorSpec(**kwargs)
 
+    @pytest.mark.parametrize("name,kwargs", [
+        ("d3", {"noise": NoiseModel("gaussian", 0.5)}),
+        ("d3", {"noise": NoiseModel("sign")}),
+        ("d1", {"v_law": "uniform"}),
+        ("d1", {"v_law": "normal", "v_scale": 5.0}),
+        ("d2", {"v_scale": 2.0})])
+    def test_canonical_dataset_rejects_its_fixed_fields(self, name, kwargs):
+        with pytest.raises(ConfigurationError, match="fixes"):
+            GeneratorSpec(name=name, **kwargs)
+
+    @pytest.mark.parametrize("name,law,scale,noise", [
+        ("d1", "normal", 5.0, NoiseModel("gaussian", 0.5)),
+        ("d2", "uniform", 5.0, NoiseModel("gaussian", 0.5)),
+        ("d3", "grid", 1.0, NoiseModel("sign")),
+        ("custom", "uniform", 5.0, NoiseModel("gaussian", 0.5))])
+    def test_resolved_fills_unset_fields(self, name, law, scale, noise):
+        spec = GeneratorSpec(name=name, n_users=8, n_items=9, horizon=4)
+        assert (spec.v_law, spec.v_scale, spec.noise) == (None, None, None)
+        full = spec.resolved()
+        assert (full.name, full.v_law, full.v_scale, full.noise) == \
+            (name, law, scale, noise)
+        assert full.resolved() == full
+
+    def test_custom_keeps_its_fields(self):
+        spec = GeneratorSpec(name="custom", v_law="grid", v_scale=2.0,
+                             noise=NoiseModel("sign")).resolved()
+        assert (spec.v_law, spec.v_scale, spec.noise) == \
+            ("grid", 2.0, NoiseModel("sign"))
+
     def test_item_cluster_structure(self):
         spec = GeneratorSpec(name="custom", n_users=12, n_items=15,
                              n_clusters=3, horizon=6, budget=1,
