@@ -2,8 +2,16 @@
 """Horizon-scaling study: how regret grows with T for selected policies.
 
 Runs each policy over a horizon grid on a fixed-law instance family and
-prints the fitted log-log slope (the phased policy should scale roughly like
-sqrt(T); explore-then-commit like T^(2/3)).
+prints the fitted log-log slope (explore-then-commit should scale roughly
+like T^(2/3)).
+
+The phased policy runs at its default phase-1 accuracy (the reward ceiling).
+At this script's default sizes its sampling rate never falls below 1, so it
+only fills (uniform play in the active set) and its regret grows linearly in
+T.  For a phased run that explores, see acceptance 7 in
+tests/test_acceptance.py: eps1 = 16 x reward ceiling on 120 x 120 users and
+items, C = 2, sigma = 0.2 (that eps1 alone still only fills at the defaults
+here).
 
     python scripts/scaling_study.py --algorithm etc --horizons 30 60 120
 """

@@ -178,6 +178,21 @@ class Instance:
     # gaussian noise, max|2P - 1| for sign feedback.  Same units as rewards.
 
     def __post_init__(self) -> None:
+        if self.rewards.shape != (self.n_users, self.n_items):
+            raise ConfigurationError(
+                f"rewards have shape {self.rewards.shape}, expected "
+                f"({self.n_users}, {self.n_items})")
+        if self.cluster_of.shape != (self.n_users,):
+            raise ConfigurationError(
+                f"cluster_of has shape {self.cluster_of.shape}, expected "
+                f"({self.n_users},)")
+        if self.item_cluster_of is not None \
+                and self.item_cluster_of.shape != (self.n_items,):
+            raise ConfigurationError(
+                f"item_cluster_of has shape {self.item_cluster_of.shape}, "
+                f"expected ({self.n_items},)")
+        if not np.isfinite(self.rewards).all():
+            raise ConfigurationError("rewards must be finite")
         if self.n_clusters > self.n_users:
             raise ConfigurationError("more clusters than users")
         if self.n_items * self.budget < self.horizon:

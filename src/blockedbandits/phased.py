@@ -21,8 +21,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .completion import SolverConfig, estimate
 from .env import Simulation
@@ -134,15 +132,24 @@ def similarity_components(est_rows: np.ndarray, threshold: float) -> list[np.nda
     """Partition row indices into components of the agreement graph.
 
     Two rows are adjacent when they differ by at most ``threshold`` on every
-    column.  Returns local index arrays, deterministic order.
+    column.  Returns local index arrays, each ascending, ordered by their
+    smallest member.
     """
     g = est_rows.shape[0]
-    if g == 1:
-        return [np.array([0])]
     diff = np.abs(est_rows[:, None, :] - est_rows[None, :, :]).max(axis=2)
     adj = diff <= threshold
-    n_comp, labels = connected_components(csr_matrix(adj), directed=False)
-    return [np.flatnonzero(labels == k) for k in range(n_comp)]
+    # Min-label propagation with pointer jumping: every label stays a member
+    # of its row's component and never rises, so the fixed point gives each
+    # row the smallest member of its component.
+    labels = np.arange(g)
+    while True:
+        new = np.minimum(labels, np.where(adj, labels, g).min(axis=1))
+        new = new[new]
+        if np.array_equal(new, labels):
+            break
+        labels = new
+    order = np.argsort(labels, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(labels[order])) + 1)
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -264,7 +267,10 @@ class TestCommands:
 
     @pytest.mark.parametrize("command,key,value", [
         ("diag", "M", "abc"), ("diag", "noise", 5),
-        ("run", "users", 0), ("run", "budget", 0)])
+        ("run", "users", 0), ("run", "budget", 0),
+        ("diag", "M", 7), ("diag", "N", 5), ("diag", "P", [0.5] * 8),
+        ("diag", "cluster_of", [0] * 5), ("diag", "P", [[None] * 8] * 6),
+        ("diag", "item_cluster_of", [0] * 3)])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, key,
                                        value):
         if command == "diag":
@@ -336,3 +342,13 @@ class TestCommands:
         for name in ("run.csv", "run_summary.json"):
             assert (tmp_path / "1" / "out" / name).read_bytes() == \
                 (tmp_path / "2" / "out" / name).read_bytes()
+
+
+def test_cli_import_loads_no_scipy():
+    probe = ("import sys, blockedbandits.cli; "
+             "print(sorted(m for m in sys.modules "
+             "if m == 'scipy' or m.startswith('scipy.')))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=60).stdout
+    assert out.strip() == "[]"

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockedbandits.completion import SolverConfig
 from blockedbandits.env import GeneratorSpec, Instance, NoiseModel, Simulation, generate_instance
@@ -47,6 +49,57 @@ class TestSamplingProb:
         assert golden_rank(horizon=7, budget=2, exploit_rounds=0) == 4
 
 
+def union_find_components(rows, threshold):
+    """Reference: components of the agreement graph by union-find, each
+    ascending, ordered by their smallest member."""
+    parent = list(range(len(rows)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if max(abs(a - b) for a, b in zip(rows[i], rows[j])) <= threshold:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups = {}
+    for i in range(len(rows)):
+        groups.setdefault(find(i), []).append(i)
+    return sorted(groups.values())
+
+
+@st.composite
+def agreement_cases(draw):
+    """(rows, threshold): random rows, shuffled chains or duplicated rows."""
+    g = draw(st.integers(1, 24))
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "chain", "duplicate"]))
+    if kind == "random":
+        cells = draw(st.lists(st.floats(-2, 2), min_size=g * n,
+                              max_size=g * n))
+        rows = np.array(cells).reshape(g, n)
+        threshold = draw(st.just(0.0) | st.floats(0, 4))
+    elif kind == "chain":
+        # consecutive links agree within the threshold of 1 when their gap
+        # is 1, so the ends of a long chain meet only through transitivity
+        gaps = draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=g - 1,
+                             max_size=g - 1))
+        position = np.concatenate([[0.0], np.cumsum(gaps)])
+        order = draw(st.permutations(range(g)))
+        rows = np.zeros((g, n))
+        rows[:, 0] = position[order]
+        threshold = 1.0
+    else:
+        pool = np.array(draw(st.lists(st.floats(-2, 2), min_size=3 * n,
+                                      max_size=3 * n))).reshape(3, n)
+        picks = draw(st.lists(st.integers(0, 2), min_size=g, max_size=g))
+        rows = pool[picks]
+        threshold = draw(st.sampled_from([0.0, 0.5]))
+    return rows, threshold
+
+
 class TestSimilarityGraph:
     def test_large_threshold_single_component(self):
         rows = np.random.default_rng(0).normal(size=(8, 5))
@@ -71,6 +124,16 @@ class TestSimilarityGraph:
     def test_identical_rows_complete_graph(self):
         rows = np.tile(np.arange(5.0), (6, 1))
         assert len(similarity_components(rows, threshold=1e-12)) == 1
+
+    @given(case=agreement_cases())
+    @example(case=(np.array([[0.3, -1.0]]), 0.0))
+    @example(case=(np.array([[2.0], [0.0], [1.0]]), 1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_union_find(self, case):
+        rows, threshold = case
+        got = similarity_components(rows, threshold)
+        assert [c.tolist() for c in got] == union_find_components(rows,
+                                                                  threshold)
 
 
 class TestRunPhased:
