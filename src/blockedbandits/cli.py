@@ -15,7 +15,13 @@ from pathlib import Path
 import numpy as np
 
 from .completion import diagnostics
-from .env import ConfigurationError, GeneratorSpec, NoiseModel, instance_from_json
+from .env import (
+    ConfigurationError,
+    GeneratorSpec,
+    NoiseModel,
+    _integer,
+    instance_from_json,
+)
 from .harness import (
     SweepSpec,
     aggregate,
@@ -23,13 +29,6 @@ from .harness import (
     sweep,
     write_csv,
 )
-
-
-def _integer(value) -> int:
-    """An integral number; a bool or a fraction is an error, not truncated."""
-    if isinstance(value, bool) or int(value) != value:
-        raise ValueError(f"not an integer: {value!r}")
-    return int(value)
 
 
 def _real(value) -> float:

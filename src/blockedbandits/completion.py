@@ -5,6 +5,16 @@
 lam = c_lambda * sigma * sqrt(|Omega| / max(nrows, ncols)) unless overridden.
 `estimate` handles rectangular problems by randomly partitioning the longer
 axis into near-square blocks, solving each independently, and reassembling.
+
+Each soft-thresholding step (`_svt`) takes one of two paths, each with one
+``np.linalg.svd`` call.  The subspace path follows Soft-Impute (Mazumder,
+Hastie & Tibshirani 2010) and the randomized range finder (Halko, Martinsson
+& Tropp 2011): the previous step's leading right singular vectors plus
+``_OVERSAMPLE`` spare directions go through one power step and a QR, and the
+small projected factor is decomposed.  It is taken only when a certificate
+shows that the residual outside the subspace has spectral norm below the
+threshold, so that no singular value it leaves out would survive; otherwise
+the step takes the full SVD.
 """
 
 from __future__ import annotations
@@ -30,6 +40,13 @@ __all__ = [
 # (it converges to the zero-filled mask), while a tiny positive lam recovers
 # the minimum-nuclear-norm interpolant.  Relative to the data scale.
 _ZERO_NOISE_LAMBDA = 1e-6
+
+# Warm-started subspace SVT (see `_svt`): spare directions kept beyond the
+# surviving rank, Gram squarings in the residual certificate, and rejected
+# steps in a row after which a block stops trying.
+_OVERSAMPLE = 8
+_SQUARINGS = 3
+_MAX_MISSES = 4
 
 
 @dataclass(frozen=True)
@@ -71,6 +88,36 @@ class SolveResult:
     iterations: int  # SVT steps (one SVD each), the warm-up stages included
 
 
+class _WarmStart:
+    """One block's warm start for `_svt`: the last step's leading right
+    singular vectors (rows of ``vt``), or None when the next step takes the
+    full SVD, and whether the last step took the full SVD (``exact``).
+
+    The basis holds the surviving rank plus up to ``_OVERSAMPLE`` spare
+    directions.  It is kept while the surviving rank is at most a quarter
+    of the smaller side and the basis is under half of it (a wider basis
+    made the subspace step cost more than the full SVD on 16-28 wide
+    blocks), and dropped for good once ``_MAX_MISSES`` steps in a row were
+    rejected.
+    """
+
+    def __init__(self, shape: tuple[int, int]) -> None:
+        self.side = min(shape)
+        self.live = True
+        self.misses = 0
+        self.vt: np.ndarray | None = None
+        self.exact = True
+
+    def update(self, vt: np.ndarray, rank: int, exact: bool,
+               missed: bool) -> None:
+        self.exact = exact
+        self.misses = self.misses + 1 if missed else 0
+        self.live &= self.misses < _MAX_MISSES
+        width = rank + _OVERSAMPLE
+        self.vt = (vt[:width] if self.live and 4 * rank <= self.side
+                   and 2 * width < self.side else None)
+
+
 @dataclass
 class EstimateResult:
     matrix: np.ndarray
@@ -79,12 +126,56 @@ class EstimateResult:
     iterations: int = 0  # summed over the solved blocks
 
 
-def _svt(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Singular-value soft-thresholding; returns (matrix, thresholded svals)."""
+def _svt(y: np.ndarray, threshold: float,
+         warm: _WarmStart) -> tuple[np.ndarray, np.ndarray]:
+    """Singular-value soft-thresholding; returns (matrix, thresholded svals).
+
+    Makes exactly one ``np.linalg.svd`` call.  With a ``warm`` basis the
+    step first projects ``y`` on the range ``q`` of one power step from it
+    and checks the certificate (`_below`) that the residual's spectral norm
+    is below ``threshold``, so that no singular value outside ``q``
+    survives; then the SVD of the small factor ``q^T y`` gives the step.
+    Otherwise it takes the full SVD of ``y``.  ``warm`` is updated for the
+    next step of the same block.
+    """
+    attempted = warm.vt is not None and threshold > 0.0
+    if attempted:
+        # one power step from the previous step's leading right vectors
+        q, _ = np.linalg.qr(y @ (y.T @ (y @ warm.vt.T)))
+        b = q.T @ y
+        if _below(y - q @ b, threshold):
+            v, s, ut = np.linalg.svd(b.T, full_matrices=False)
+            s = np.maximum(s - threshold, 0.0)
+            k = int(np.count_nonzero(s))
+            warm.update(v.T, k, exact=False, missed=False)
+            return q @ ((ut.T[:, :k] * s[:k]) @ v.T[:k]), s
     u, s, vt = np.linalg.svd(y, full_matrices=False)
     s = np.maximum(s - threshold, 0.0)
     keep = s > 0
+    warm.update(vt, int(keep.sum()), exact=True, missed=attempted)
     return (u[:, keep] * s[keep]) @ vt[keep], s
+
+
+def _below(resid: np.ndarray, threshold: float) -> bool:
+    """Whether ``||resid||_2 < threshold`` is certified.
+
+    With g the Gram matrix of ``resid / threshold`` (d x d, the smaller
+    side) squared j times, ``||g||_F ** (1 / 2**(j+1))`` lies between
+    sigma_max and ``d ** (1 / 2**(j+2))`` sigma_max of the scaled residual.
+    Up to ``_SQUARINGS`` squarings tighten it until the upper bound is
+    below 1 (certified) or the lower bound reaches 1 (rejected); still
+    undecided, the step is rejected.
+    """
+    r = resid / threshold
+    g = r @ r.T if r.shape[0] <= r.shape[1] else r.T @ r
+    for _ in range(_SQUARINGS):
+        g = g @ g.T  # g is symmetric; g @ g.T runs as one syrk
+        norm = float(np.linalg.norm(g))
+        if norm < 1.0:
+            return True
+        if norm >= g.shape[0] ** 0.5:
+            return False
+    return False
 
 
 def _resolve_lambda(prob: CompletionProblem, cfg: SolverConfig) -> tuple[float, bool]:
@@ -119,9 +210,10 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
     inverse Lipschitz constant of the count-weighted quadratic.  Momentum
     restarts when a step opposes it (O'Donoghue & Candes 2015) or changes the
     objective by at most ``cfg.tol`` (relative).  The solve converges only on
-    a plain proximal step from the current iterate that changes the objective
-    by at most ``cfg.tol``; after ``cfg.max_iters`` iterations it returns the
-    best iterate with ``converged=False``.
+    a plain proximal step from the current iterate, taken with the full SVD,
+    that changes the objective by at most ``cfg.tol``; after
+    ``cfg.max_iters`` iterations it returns the best iterate with
+    ``converged=False``.
 
     When sigma == 0 with a partial mask, the target regulariser is a tiny
     floor and a fixed-lam iteration from zero cannot fill unobserved entries
@@ -129,6 +221,19 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
     lam schedule of plain proximal steps ending at the floor; the reported
     objective trace is the final stage's, while ``iterations`` counts every
     step of every stage.
+
+    Every step is one `_svt` call, warm-started from the block's previous
+    step.  While the surviving rank is at most a quarter of the smaller side
+    and the basis (that rank plus ``_OVERSAMPLE``) under half of it, a step
+    takes the subspace path where the certificate shows that the residual
+    ``y - q q^T y`` (``q`` the subspace basis) has spectral norm below the
+    threshold, and the full SVD otherwise; after ``_MAX_MISSES`` rejections
+    in a row the block keeps to the full SVD.  The certificate (the
+    Frobenius norm of the residual's Gram matrix after up to ``_SQUARINGS``
+    squarings) shows that the step's rank is right; how close the step
+    comes to the full SVT rests on the warm start, so the stopping rule
+    counts only full-SVD steps.  The monotone acceptance holds whichever
+    path ran, since the objective is evaluated on the step taken.
     """
     if len(prob.omega) == 0:
         raise ValueError("solve_block needs a nonempty observation set")
@@ -162,11 +267,12 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
     svals = np.zeros(min(prob.n_rows, prob.n_cols))
     budget = cfg.max_iters
     converged = False
+    warm = _WarmStart(q.shape)
     for stage_lam in schedule[:-1]:
         for _ in range(min(40, budget)):
             budget -= 1
             grad = mask * (q - z_fill)
-            q, svals = _svt(q - step * grad, stage_lam * step)
+            q, svals = _svt(q - step * grad, stage_lam * step, warm)
 
     lam_final = schedule[-1]
 
@@ -175,14 +281,17 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
         return 0.5 * float(resid @ resid) + lam_final * float(s.sum())
 
     # t == 1 marks a plain step from x.  A small change after a momentum step
-    # does not show x is near the optimum, so it only restarts; a plain step
-    # cannot raise F beyond rounding, so a small change there is convergence.
+    # does not show x is near the optimum, so it only restarts.  A plain
+    # full-SVD step cannot raise F beyond rounding, so a small change there
+    # is convergence; a subspace step is inexact, so after a small change
+    # there the next plain step takes the full SVD and decides.
     x, y, t = q, q, 1.0
     f_x = objective(q, svals)
     objectives: list[float] = [f_x]
     while budget > 0:
         budget -= 1
-        z, svals = _svt(y - step * mask * (y - z_fill), lam_final * step)
+        z, svals = _svt(y - step * mask * (y - z_fill), lam_final * step,
+                        warm)
         f_z = objective(z, svals)
         x_prev, f_prev = x, f_x
         if f_z <= f_x:
@@ -190,8 +299,10 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
         objectives.append(f_x)
         small = abs(f_prev - f_z) <= cfg.tol * max(1.0, abs(f_prev))
         if small and t == 1.0:
-            converged = True
-            break
+            if warm.exact:
+                converged = True
+                break
+            warm.vt = None
         if small or float(np.vdot(y - z, z - x_prev)) > 0.0:
             t, y = 1.0, x
             continue

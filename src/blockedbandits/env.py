@@ -555,15 +555,22 @@ def instance_to_json(inst: Instance) -> str:
     return json.dumps(doc)
 
 
+def _integer(value) -> int:
+    """An integral number; a bool or a fraction is an error, not truncated."""
+    if isinstance(value, bool) or int(value) != value:
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def instance_from_json(text: str) -> Instance:
     doc = json.loads(text)
     try:
         noise = NoiseModel(doc["noise"]["kind"], doc["noise"].get("sigma", 0.0))
         item_cl = doc.get("item_cluster_of")
         return Instance(
-            n_users=int(doc["M"]), n_items=int(doc["N"]),
-            horizon=int(doc["T"]), budget=int(doc["B"]),
-            n_clusters=int(doc["C"]),
+            n_users=_integer(doc["M"]), n_items=_integer(doc["N"]),
+            horizon=_integer(doc["T"]), budget=_integer(doc["B"]),
+            n_clusters=_integer(doc["C"]),
             cluster_of=np.asarray(doc["cluster_of"], dtype=np.int64),
             rewards=np.asarray(doc["P"], dtype=np.float64),
             noise=noise,
@@ -571,5 +578,5 @@ def instance_from_json(text: str) -> Instance:
         )
     except KeyError as exc:
         raise ConfigurationError(f"instance document missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"invalid instance document: {exc}") from exc

@@ -197,8 +197,9 @@ def _check_labels(labels: list, what: str) -> None:
 @dataclass(frozen=True)
 class SweepSpec:
     """A dataset x algorithm x seed grid, checked before any cell runs:
-    known algorithm names and params, and one label per dataset and per
-    algorithm.  Repeated seeds are allowed."""
+    known algorithm names and params, one label per dataset and per
+    algorithm, and no collab-greedy on a dataset with Gaussian noise (it
+    needs sign feedback).  Repeated seeds are allowed."""
 
     datasets: tuple[tuple[str, GeneratorSpec], ...]  # (label, spec)
     algorithms: tuple[tuple[str, str, tuple], ...]  # (label, name, params items)
@@ -211,6 +212,13 @@ class SweepSpec:
             _check_algorithm(name, params)
         _check_labels([label for label, _ in self.datasets], "dataset")
         _check_labels([label for label, _, _ in self.algorithms], "algorithm")
+        gaussian = [label for label, gen in self.datasets
+                    if gen.resolved().noise.kind == "gaussian"]
+        if gaussian and any(name == "collab-greedy"
+                            for _, name, _ in self.algorithms):
+            raise ConfigurationError(
+                f"collab-greedy needs sign feedback; dataset {gaussian[0]!r} "
+                "has Gaussian noise")
 
     @staticmethod
     def make(datasets, algorithms, seeds) -> "SweepSpec":

@@ -208,6 +208,9 @@ class TestCommands:
         ("sweep", lambda d: d.update(
             datasets=[dict(d["datasets"][0], name="d3")],
             algorithms=[{"name": "collab-greedy", "params": {"alpha": 0}}])),
+        ("sweep", lambda d: d.update(
+            datasets=[dict(d["datasets"][0], name="d1")],
+            algorithms=[{"name": "collab-greedy"}])),
     ], ids=["users-abc", "noise-5", "sigma-x", "dataset-name", "etc-param",
             "random-param", "oracle-param", "algorithm-not-object",
             "sweep-users-x", "item-clusters-x", "seeds-ab",
@@ -221,7 +224,8 @@ class TestCommands:
             "v-scale-infinite", "phased-mu-bound-nan", "etc-p-override-nan",
             "etc-m-target-inf", "collab-greedy-theta-nan", "d3-noise",
             "d1-v-law", "d2-v-scale", "collab-greedy-negative-exponents",
-            "collab-greedy-theta-zero", "collab-greedy-alpha-zero"])
+            "collab-greedy-theta-zero", "collab-greedy-alpha-zero",
+            "collab-greedy-gaussian-noise"])
     def test_bad_config_exits_before_any_cell(self, tmp_path, capsys,
                                              command, edit):
         base = RUN_DOC if command == "run" else SWEEP_DOC
@@ -270,7 +274,8 @@ class TestCommands:
         ("run", "users", 0), ("run", "budget", 0),
         ("diag", "M", 7), ("diag", "N", 5), ("diag", "P", [0.5] * 8),
         ("diag", "cluster_of", [0] * 5), ("diag", "P", [[None] * 8] * 6),
-        ("diag", "item_cluster_of", [0] * 3)])
+        ("diag", "item_cluster_of", [0] * 3), ("diag", "M", 6.7),
+        ("diag", "B", 1.9), ("diag", "T", 4.5), ("diag", "C", True)])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, key,
                                        value):
         if command == "diag":

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from blockedbandits import completion
 from blockedbandits.completion import (
     CompletionProblem,
     SolverConfig,
@@ -179,6 +180,21 @@ def svd_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """The shape of the matrix of each np.linalg.svd call made while the
+    test runs."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes
+
+
 class TestMfista:
     def test_converges_where_proximal_gradient_stalls(self):
         # lam near the practical variant's on paperfig d1 (about 1.41)
@@ -231,6 +247,163 @@ class TestMfista:
                        stream(4, "zeta"))
         monkeypatch.undo()
         assert res.iterations == len(svd_calls) > 0
+
+
+def reference_svt(y: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Singular-value soft-thresholding; returns (matrix, thresholded svals).
+
+    ``_svt`` as it was before the warm-started subspace step: one full SVD
+    per call.  Kept verbatim as the reference of the accuracy tests."""
+    u, s, vt = np.linalg.svd(y, full_matrices=False)
+    s = np.maximum(s - threshold, 0.0)
+    keep = s > 0
+    return (u[:, keep] * s[keep]) @ vt[keep], s
+
+
+def instance_block(name: str, shape: tuple[int, int], p: float, sigma: float,
+                   seed: int, v_law: str | None = None) -> CompletionProblem:
+    """A ``shape`` block of a 4-cluster instance, each entry observed with
+    probability ``p`` under Gaussian noise ``sigma``."""
+    inst = generate_instance(GeneratorSpec(name=name, n_users=shape[0],
+                                           n_items=shape[1], n_clusters=4,
+                                           horizon=2, budget=1, v_law=v_law),
+                             seed)
+    g = np.random.default_rng(seed)
+    mask = g.random(shape) < p
+    values = inst.rewards[mask] + g.normal(0, sigma, size=mask.sum())
+    return CompletionProblem(shape[0], shape[1], np.argwhere(mask), values,
+                             rank=4, sigma=sigma)
+
+
+ACCURACY_BLOCKS = {
+    # a paperfig d1 block at scale 0.4 (explore rate ~0.2)
+    "60x60-p20": (lambda: instance_block("d1", (60, 60), 0.2, 0.5, seed=1),
+                  SolverConfig()),
+    # a phased explore block of the acceptance-7 settings
+    "120x120-p24": (lambda: instance_block("custom", (120, 120), 0.24, 0.2,
+                                           seed=2, v_law="uniform"),
+                    SolverConfig()),
+    # an acceptance-8 etc block, with its lighter solver
+    "80x85-p4": (lambda: instance_block("d2", (80, 85), 0.04, 0.5, seed=3),
+                 SolverConfig(max_iters=400, tol=1e-7)),
+    # zero noise: the floored lambda schedule with its warm-up stages
+    "60x60-sigma0": (lambda: masked_problem(incoherent_low_rank(60, 3, seed=4),
+                                            0.3, 0.0, seed=4),
+                     SolverConfig()),
+}
+
+
+class TestSubspaceSvt:
+    @pytest.mark.parametrize("block", sorted(ACCURACY_BLOCKS))
+    def test_matches_full_svd_solver(self, monkeypatch, svd_shapes, block):
+        make, cfg = ACCURACY_BLOCKS[block]
+        prob = make()
+        res = solve_block(prob, cfg)
+        side = min(prob.n_rows, prob.n_cols)
+        fast_steps = sum(min(shape) < side for shape in svd_shapes)
+        last_step_side = min(svd_shapes[-1])
+        monkeypatch.setattr(completion, "_svt",
+                            lambda y, threshold, warm:
+                            reference_svt(y, threshold))
+        ref = solve_block(prob, cfg)
+        monkeypatch.undo()
+        assert fast_steps > 0
+        assert last_step_side == side  # convergence is judged on a full SVD
+        assert ref.converged and res.converged
+        assert abs(res.objectives[-1] - ref.objectives[-1]) <= \
+            1e-6 * abs(ref.objectives[-1])
+        assert abs(res.iterations - ref.iterations) <= 1
+
+    @staticmethod
+    def low_rank_plus_noise(seed: int) -> np.ndarray:
+        """Rank 3 with singular values 10, 8, 6, plus noise of spectral norm
+        about 0.3."""
+        g = np.random.default_rng(seed)
+        u, _ = np.linalg.qr(g.normal(size=(60, 3)))
+        v, _ = np.linalg.qr(g.normal(size=(70, 3)))
+        return (u * [10.0, 8.0, 6.0]) @ v.T + 0.02 * g.normal(size=(60, 70))
+
+    def test_certified_step_matches_full_svt(self, svd_shapes):
+        y = self.low_rank_plus_noise(5)
+        warm = completion._WarmStart(y.shape)
+        # warm-started from a matrix close to y, as late in a solve
+        nearby = y + 1e-5 * np.random.default_rng(6).normal(size=y.shape)
+        warm.vt = np.linalg.svd(nearby)[2][:3 + completion._OVERSAMPLE]
+        del svd_shapes[:]
+        out, svals = completion._svt(y, 1.0, warm)
+        assert svd_shapes == [(70, 3 + completion._OVERSAMPLE)]  # the small one
+        ref, ref_svals = reference_svt(y, 1.0)
+        assert np.abs(out - ref).max() <= 1e-9
+        assert svals.sum() == pytest.approx(ref_svals.sum(), rel=1e-12)
+        assert warm.misses == 0
+
+    def test_full_rank_input_takes_the_fallback(self, svd_shapes):
+        g = np.random.default_rng(7)
+        u, _ = np.linalg.qr(g.normal(size=(60, 60)))
+        v, _ = np.linalg.qr(g.normal(size=(60, 60)))
+        y = (u * np.linspace(5.0, 2.0, 60)) @ v.T  # every value above 1
+        warm = completion._WarmStart(y.shape)
+        warm.vt = v.T[:completion._OVERSAMPLE]
+        out, svals = completion._svt(y, 1.0, warm)
+        assert svd_shapes == [(60, 60)]  # the full one
+        ref, ref_svals = reference_svt(y, 1.0)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(svals, ref_svals)
+        assert warm.misses == 1
+
+    def test_each_step_makes_one_svd_call(self, svd_shapes):
+        # singular values 10, 8, 6, then noise from 0.32 down
+        y = self.low_rank_plus_noise(8)
+        warm = completion._WarmStart(y.shape)
+        sides = []
+        for threshold in (1.0, 1.0, 0.2, 1.0, 1.0):
+            before = len(svd_shapes)
+            completion._svt(y, threshold, warm)
+            assert len(svd_shapes) == before + 1
+            sides.append(min(svd_shapes[-1]))
+        # no basis yet: full; certified on rank 3 + 8 spare directions; at
+        # 0.2 the 12th value (0.24) survives: rejected, full, and rank 19
+        # drops the basis; full again, then certified
+        assert sides == [60, 3 + completion._OVERSAMPLE, 60, 60,
+                         3 + completion._OVERSAMPLE]
+
+    @pytest.mark.parametrize("side, rank, kept", [
+        (16, 0, False), (18, 0, True), (18, 1, False), (20, 1, True), (20, 2, False),
+        (32, 7, True), (32, 8, False), (60, 15, True), (60, 16, False),
+        (120, 30, True), (120, 31, False)])
+    def test_basis_kept_under_half_the_side_and_rank_under_a_quarter(
+            self, side, rank, kept):
+        warm = completion._WarmStart((side, side + 5))
+        vt = np.eye(side + 5)[:side]
+        warm.update(vt, rank, exact=True, missed=False)
+        if kept:
+            assert warm.vt.shape == (rank + completion._OVERSAMPLE, side + 5)
+        else:
+            assert warm.vt is None
+
+    def test_subspace_convergence_is_confirmed_on_a_full_svd(self, svd_shapes):
+        prob = ACCURACY_BLOCKS["120x120-p24"][0]()
+        res = solve_block(prob)
+        objs = res.objectives
+        # a step that met the tolerance on the subspace path was followed
+        # by a plain full-SVD step, not taken as convergence
+        deferred = [i for i in range(1, len(svd_shapes))
+                    if min(svd_shapes[i - 1]) < 120
+                    and abs(objs[i] - objs[i + 1]) <= 1e-8 * max(1.0, objs[i])
+                    and min(svd_shapes[i]) == 120]
+        assert res.converged and min(svd_shapes[-1]) == 120
+        assert deferred
+
+    @pytest.mark.parametrize("ratio", [0.5, 0.85, 0.999, 1.0, 1.001, 2.0, 1e6])
+    def test_certificate_bounds_the_spectral_norm(self, ratio):
+        g = np.random.default_rng(9)
+        resid = g.normal(size=(60, 70))
+        resid *= ratio / np.linalg.norm(resid, 2)
+        certified = completion._below(resid, 1.0)
+        if ratio >= 1.0:
+            assert not certified
+        if ratio <= 60 ** (-1 / 2 ** (completion._SQUARINGS + 2)):
+            assert certified
 
 
 class TestEstimate:

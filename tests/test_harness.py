@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockedbandits import harness
 from blockedbandits.completion import SolverConfig
 from blockedbandits.env import (
     ConfigurationError,
@@ -149,13 +150,23 @@ class TestSweep:
         assert header == CSV_COLUMNS
         assert len(lines) - 1 == 2 * 2 * 6  # algorithms x seeds x horizon
 
-    def test_failed_cell_recorded_not_raised(self):
+    def test_failed_cell_recorded_not_raised(self, monkeypatch):
+        def failing(sim, rng):
+            raise RuntimeError("policy failed")
+
+        monkeypatch.setitem(harness.ALGORITHMS, "random", failing)
         gen = GeneratorSpec(name="d2", n_users=6, n_items=8, n_clusters=2,
                             horizon=4, budget=1)
-        spec = SweepSpec.make([("ds", gen)],
-                              [("collab-greedy", "collab-greedy", {})], [0])
-        results = sweep(spec)  # greedy refuses gaussian feedback
-        assert results[0].failed and "Configuration" in results[0].error
+        spec = SweepSpec.make([("ds", gen)], [("random", "random", {})], [0])
+        results = sweep(spec)
+        assert results[0].failed and "policy failed" in results[0].error
+
+    def test_collab_greedy_on_gaussian_noise_rejected(self):
+        gen = GeneratorSpec(name="d2", n_users=6, n_items=8, n_clusters=2,
+                            horizon=4, budget=1)
+        with pytest.raises(ConfigurationError, match="sign feedback"):
+            SweepSpec.make([("ds", gen)],
+                           [("collab-greedy", "collab-greedy", {})], [0])
 
     def test_aggregate_statistics(self):
         results = sweep(small_sweep_spec(seeds=tuple(range(5))))
