@@ -34,10 +34,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EtcConfig:
-    p_override: float | None = None
     m_target: float | None = None  # expected exploration rounds; sets p = m/N
     mu_bound: float = 2.0
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self) -> None:
+        phased._check_positive("etc", self, ("m_target", "mu_bound"))
 
 
 def etc_sampling_prob(n_users: int, n_items: int, horizon: int, sigma: float,
@@ -60,22 +62,19 @@ def run_etc(sim: Simulation, cfg: EtcConfig, rng: np.random.Generator) -> None:
     Bernoulli pattern, one completion call), then the commit walk on the
     estimate."""
     inst = sim.instance
-    sigma = inst.noise.scale
-    if cfg.p_override is not None:
-        p = cfg.p_override
-    elif cfg.m_target is not None:
+    if cfg.m_target is not None:
         p = cfg.m_target / inst.n_items
     else:
-        p = etc_sampling_prob(inst.n_users, inst.n_items, inst.horizon, sigma,
-                              inst.n_clusters, inst.reward_ceiling,
-                              cfg.mu_bound)
+        p = etc_sampling_prob(inst.n_users, inst.n_items, inst.horizon,
+                              inst.noise.scale, inst.n_clusters,
+                              inst.reward_ceiling, cfg.mu_bound)
     if not (0 < p <= 1):
         warnings.warn(f"exploration rate {p:.3g} clamped into (0, 1]")
         p = min(max(p, 1e-6), 1.0)
 
     scores, _ = phased._explore(sim, np.arange(inst.n_users),
-                                np.arange(inst.n_items), 0, p, sigma,
-                                inst.n_clusters, cfg.solver, rng)
+                                np.arange(inst.n_items), 0, p, cfg.solver,
+                                rng)
     if scores is None:
         scores = np.zeros((inst.n_users, inst.n_items))
     _commit(sim, scores, "commit")
@@ -109,6 +108,15 @@ class PracticalConfig:
     # completion row; off, since the per-user rows exploit better on d3
     centroid_smoothing: bool = False
     solver: SolverConfig = field(default_factory=SolverConfig)
+
+    def __post_init__(self) -> None:
+        # a phase of no rounds never ends: the loop spins until 2^level
+        # overflows the gap
+        phased._check_positive("practical", self,
+                               ("phase_length_base", "gap_divisor"))
+        if not self.phase_length_slope >= 0:
+            raise ConfigurationError("practical phase_length_slope must be "
+                                     f">= 0, got {self.phase_length_slope}")
 
 
 def kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
@@ -275,7 +283,7 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
                 continue
             omega = np.stack([rows[inside], cols[inside]], axis=1)
             res = estimate(len(users), len(active), omega, ev_reward[inside],
-                           sigma, n_clusters, solver, rng)
+                           sigma, solver, rng)
             sim.mark_consumed(inside.tolist())
             rows_est = res.matrix
             k, labels = pick_k_elbow(rows_est, n_clusters, rng)
@@ -315,10 +323,7 @@ class CollabGreedyConfig:
     def __post_init__(self) -> None:
         # t^0 = 1 would explore uniformly every round, and a negative
         # exponent makes the "probability" grow past 1
-        for name in ("theta", "alpha"):
-            if not getattr(self, name) > 0:
-                raise ConfigurationError(
-                    f"collab-greedy {name} must be > 0, got {getattr(self, name)}")
+        phased._check_positive("collab-greedy", self, ("theta", "alpha"))
 
 
 def explore_probabilities(t: int, cfg: CollabGreedyConfig) -> tuple[float, float]:

@@ -55,7 +55,6 @@ class CompletionProblem:
     n_cols: int
     omega: np.ndarray  # (k, 2) int row/col indices of observed entries
     values: np.ndarray  # (k,) observed noisy values
-    rank: int  # rank bound (analysis input; the solver does not need it)
     sigma: float  # noise scale used to set the regulariser
 
     def __post_init__(self) -> None:
@@ -63,8 +62,6 @@ class CompletionProblem:
             raise ValueError("omega must be a (k, 2) index array")
         if len(self.values) != len(self.omega):
             raise ValueError("values and omega length mismatch")
-        if self.rank < 1:
-            raise ValueError("rank bound must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -318,7 +315,7 @@ def partition_count(n_rows: int, n_cols: int) -> int:
 
 
 def estimate(n_rows: int, n_cols: int, omega: np.ndarray, values: np.ndarray,
-             sigma: float, rank: int, cfg: SolverConfig,
+             sigma: float, cfg: SolverConfig,
              rng: np.random.Generator) -> EstimateResult:
     """Complete a rectangular matrix by solving near-square sub-blocks.
 
@@ -359,7 +356,7 @@ def estimate(n_rows: int, n_cols: int, omega: np.ndarray, values: np.ndarray,
             sub[:, 0] = np.searchsorted(members, sub[:, 0])
             shape = (members.size, n_cols)
         prob = CompletionProblem(shape[0], shape[1], sub, values[sel],
-                                 rank=rank, sigma=sigma)
+                                 sigma=sigma)
         res = solve_block(prob, cfg)
         all_converged &= res.converged
         iterations += res.iterations

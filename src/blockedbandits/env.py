@@ -106,7 +106,9 @@ class GeneratorSpec:
     ``resolved()``: a canonical dataset fixes all three, so setting any of
     them on d1-d3 is an error (only the full triple that ``resolved()``
     writes is accepted), and a custom dataset defaults to U(0, 5) factors
-    with gaussian noise sigma 0.5.
+    with gaussian noise sigma 0.5.  Sign feedback needs rewards in [0, 1],
+    so a spec with sign noise must resolve to the grid law, or to the
+    uniform law with ``v_scale`` <= 1.
 
     User i belongs to cluster i mod C.  ``item_clusters`` (optional) adds a
     latent item clustering: entry (i, j) then depends only on the pair of
@@ -150,14 +152,23 @@ class GeneratorSpec:
                 f"dataset {self.name} fixes {fixed}; use name 'custom' to set them")
         if self.v_law not in (None, "normal", "uniform", "grid"):
             raise ConfigurationError(f"unknown item-factor law {self.v_law!r}")
+        law, scale, noise = self._laws()
+        if noise.kind == "sign" and not (
+                law == "grid" or (law == "uniform" and scale <= 1)):
+            raise ConfigurationError(
+                "sign feedback needs rewards in [0, 1]: use v_law 'grid', "
+                f"or 'uniform' with v_scale <= 1 (got {law!r}, {scale})")
+
+    def _laws(self) -> tuple[str, float, NoiseModel]:
+        """(v_law, v_scale, noise), with the dataset's defaults for unset ones."""
+        defaults = _CANONICAL.get(self.name, _CUSTOM_DEFAULTS)
+        return tuple(default if value is None else value for value, default
+                     in zip((self.v_law, self.v_scale, self.noise), defaults))
 
     def resolved(self) -> "GeneratorSpec":
         """The spec with ``v_law``, ``v_scale`` and ``noise`` filled in."""
-        law, scale, noise = _CANONICAL.get(self.name, _CUSTOM_DEFAULTS)
-        return replace(
-            self, v_law=law if self.v_law is None else self.v_law,
-            v_scale=scale if self.v_scale is None else self.v_scale,
-            noise=noise if self.noise is None else self.noise)
+        law, scale, noise = self._laws()
+        return replace(self, v_law=law, v_scale=scale, noise=noise)
 
 
 @dataclass(frozen=True)

@@ -87,55 +87,25 @@ def build_trace(sim: Simulation) -> RegretTrace:
 # -- algorithm registry -------------------------------------------------------
 
 
-def _run_phased(sim, rng, **params):
-    cfg = phased.default_config(sim, **params)
-    phased.run_phased(sim, cfg, rng)
-
-
-def _run_item_phased(sim, rng, **params):
-    cfg = phased.default_config(sim, **params)
-    item_phased.run_item_phased(sim, cfg, rng)
-
-
-def _run_practical(sim, rng, **params):
-    baselines.run_practical(sim, baselines.PracticalConfig(**params), rng)
-
-
-def _run_etc(sim, rng, **params):
-    baselines.run_etc(sim, baselines.EtcConfig(**params), rng)
-
-
-def _run_collab_greedy(sim, rng, **params):
-    baselines.run_collab_greedy(sim, baselines.CollabGreedyConfig(**params), rng)
-
-
-def _run_oracle(sim, rng, **params):
-    baselines.run_oracle(sim)
-
-
-def _run_random(sim, rng, **params):
-    baselines.run_random(sim, rng)
-
-
+# name -> (config dataclass whose fields are the params, or None: no params;
+# runner(sim, config, rng)).  Each runner looks its policy up in the policy's
+# module when it runs, so a name replaced there (the benchmark's tracer
+# replaces them) is the one called.
 ALGORITHMS = {
-    "phased": _run_phased,
-    "item-phased": _run_item_phased,
-    "practical": _run_practical,
-    "etc": _run_etc,
-    "collab-greedy": _run_collab_greedy,
-    "oracle": _run_oracle,
-    "random": _run_random,
-}
-
-# the config dataclass whose fields are an algorithm's params; None: no params
-_PARAMS = {
-    "phased": phased.PhasedConfig,
-    "item-phased": phased.PhasedConfig,
-    "practical": baselines.PracticalConfig,
-    "etc": baselines.EtcConfig,
-    "collab-greedy": baselines.CollabGreedyConfig,
-    "oracle": None,
-    "random": None,
+    "phased": (phased.PhasedConfig,
+               lambda sim, cfg, rng: phased.run_phased(sim, cfg, rng)),
+    "item-phased": (phased.PhasedConfig,
+                    lambda sim, cfg, rng: item_phased.run_item_phased(
+                        sim, cfg, rng)),
+    "practical": (baselines.PracticalConfig,
+                  lambda sim, cfg, rng: baselines.run_practical(sim, cfg, rng)),
+    "etc": (baselines.EtcConfig,
+            lambda sim, cfg, rng: baselines.run_etc(sim, cfg, rng)),
+    "collab-greedy": (baselines.CollabGreedyConfig,
+                      lambda sim, cfg, rng: baselines.run_collab_greedy(
+                          sim, cfg, rng)),
+    "oracle": (None, lambda sim, cfg, rng: baselines.run_oracle(sim)),
+    "random": (None, lambda sim, cfg, rng: baselines.run_random(sim, rng)),
 }
 
 
@@ -150,36 +120,35 @@ def _accepts(hint, value) -> bool:
     return isinstance(value, {int: numbers.Integral}.get(hint, hint))
 
 
-def _check_algorithm(name: str, params) -> None:
-    """Reject an unregistered algorithm name, a param that its config
-    dataclass lacks or annotates with another type, or a value that the
-    config's own checks reject."""
+def _check_algorithm(name: str, params):
+    """The algorithm's config built from ``params`` (None for an algorithm
+    without params).  Rejects an unregistered algorithm name, a param that
+    its config dataclass lacks or annotates with another type, or a value
+    that the config's own checks reject."""
     if name not in ALGORITHMS:
         raise ConfigurationError(
             f"unknown algorithm {name!r}; known: {sorted(ALGORITHMS)}")
-    hints = typing.get_type_hints(_PARAMS[name]) if _PARAMS[name] else {}
-    unknown = sorted(set(dict(params or {})) - set(hints))
+    config = ALGORITHMS[name][0]
+    params = dict(params or {})
+    hints = typing.get_type_hints(config) if config else {}
+    unknown = sorted(set(params) - set(hints))
     if unknown:
         raise ConfigurationError(
             f"unknown param(s) for {name}: {unknown}; known: {sorted(hints)}")
-    for key, value in sorted(dict(params or {}).items()):
+    for key, value in sorted(params.items()):
         if not _accepts(hints[key], value):
             raise ConfigurationError(f"invalid param {key}={value!r} for {name}")
-    # a config with value checks of its own runs them here, before any cell
-    # (the phased config has none: it is built per instance)
-    config = _PARAMS[name]
-    if hasattr(config, "__post_init__"):
-        config(**dict(params or {}))
+    return config(**params) if config else None
 
 
 def run_algorithm(inst: Instance, name: str, seed: int,
                   params: dict | None = None) -> tuple[RegretTrace, Simulation]:
     """One complete run; decision randomness comes from a per-algorithm
     stream so policies compared under one seed share instance and noise."""
-    _check_algorithm(name, params)
+    cfg = _check_algorithm(name, params)
     sim = Simulation(inst, seed, reusable_ledger=(name == "item-phased"))
     rng = stream(seed, f"decisions:{name}")
-    ALGORITHMS[name](sim, rng, **(params or {}))
+    ALGORITHMS[name][1](sim, cfg, rng)
     return build_trace(sim), sim
 
 

@@ -7,7 +7,8 @@ observation for reuse.  After each user-clustering step the surviving item
 sets are expanded to full connected components of an item-similarity graph,
 which keeps them unions of whole item clusters; the exploit component expands
 its certified set the same way before recommending.  Everything else is the
-task loop of :mod:`phased`.
+task loop of :mod:`phased`, and the variant takes the phased policy's config,
+:class:`phased.PhasedConfig`.
 """
 
 from __future__ import annotations
@@ -21,15 +22,12 @@ from .phased import PhasedConfig, RunReport, similarity_components
 # Unused here, but the benchmark's tracer patches this name in this module.
 from .completion import estimate  # noqa: F401
 
-__all__ = ["ItemPhasedConfig", "run_item_phased"]
+__all__ = ["run_item_phased"]
 
 # Item-graph edges require agreement within ITEM_EDGE_FACTOR * C * delta on
 # every user of the group; the wider constant absorbs the extra slack of
 # chaining through both user and item clusters.
 ITEM_EDGE_FACTOR = 16
-
-# The variant takes the same knobs as the phased policy.
-ItemPhasedConfig = PhasedConfig
 
 
 def _closure(active: np.ndarray, comps: list[np.ndarray],
@@ -42,17 +40,19 @@ def _closure(active: np.ndarray, comps: list[np.ndarray],
     return active[np.sort(np.concatenate(hit))]
 
 
-def run_item_phased(sim: Simulation, cfg: ItemPhasedConfig,
+def run_item_phased(sim: Simulation, cfg: PhasedConfig,
                     rng: np.random.Generator) -> RunReport:
     """Run the item-clustered phased policy; ``sim`` must use the reusable
     (single-counter) ledger."""
     if not sim.ledger.reusable:
         raise ValueError("run_item_phased needs a reusable-ledger simulation")
 
+    n_clusters = sim.instance.n_clusters
+
     def expand(active, est, seed, delta):
         # items are adjacent when their columns agree on every group user
         comps = similarity_components(est.T,
-                                      ITEM_EDGE_FACTOR * cfg.n_clusters * delta)
+                                      ITEM_EDGE_FACTOR * n_clusters * delta)
         return _closure(active, comps, seed)
 
     return phased._run(sim, cfg, rng, expand)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .completion import SolverConfig, estimate
-from .env import Simulation
+from .env import ConfigurationError, Simulation
 
 __all__ = [
     "PhasedConfig",
@@ -56,18 +56,27 @@ Expand = Callable[[np.ndarray, np.ndarray, np.ndarray, float], np.ndarray]
 
 @dataclass(frozen=True)
 class PhasedConfig:
-    """Knobs the policy is assumed to know about the instance."""
+    """The caller's choices.  The policy reads what it is assumed to know
+    about the instance (cluster count C, noise scale sigma and reward
+    ceiling) from ``sim.instance``."""
 
-    n_clusters: int
-    sigma: float
-    reward_ceiling: float  # largest |expected reward|, sets the phase-1 scale
     mu_bound: float = 2.0  # incoherence bound fed to the sampling rule
     eps1: float | None = None  # phase-1 accuracy; defaults to reward_ceiling
     floor_c: float = 1.5  # constant in the noiseless sampling floor
     solver: SolverConfig = field(default_factory=SolverConfig)
 
-    def initial_accuracy(self) -> float:
-        return self.reward_ceiling if self.eps1 is None else self.eps1
+    def __post_init__(self) -> None:
+        _check_positive("phased", self, ("mu_bound", "eps1", "floor_c"))
+
+
+def _check_positive(algorithm: str, cfg, names: tuple[str, ...]) -> None:
+    """Reject a policy config whose named fields are not > 0 (None is
+    unset); NaN fails too."""
+    for name in names:
+        value = getattr(cfg, name)
+        if value is not None and not value > 0:
+            raise ConfigurationError(
+                f"{algorithm} {name} must be > 0, got {value}")
 
 
 @dataclass
@@ -174,11 +183,11 @@ def _pick_filler(sim: Simulation, user: int, active: np.ndarray,
 
 
 def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
-             p: float, sigma: float, rank: int, solver: SolverConfig,
+             p: float, solver: SolverConfig,
              rng: np.random.Generator) -> tuple[np.ndarray | None, int]:
     """Explore component: Bernoulli sampling, budget-aware recommendation,
-    completion at noise scale ``sigma`` and rank ``rank``.  Returns the
-    estimated sub-matrix (or None) and the new round."""
+    completion at the instance's noise scale.  Returns the estimated
+    sub-matrix (or None) and the new round."""
     inst = sim.instance
     horizon = inst.horizon
     n_u, n_i = len(users), len(active)
@@ -221,7 +230,7 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     if not values:
         return None, t_new
     omega = np.stack([omega_rows, omega_cols], axis=1)
-    result = estimate(n_u, n_i, omega, np.asarray(values), sigma, rank,
+    result = estimate(n_u, n_i, omega, np.asarray(values), inst.noise.scale,
                       solver, rng)
     sim.mark_consumed(consumed_ids)
     return result.matrix, t_new
@@ -235,7 +244,7 @@ def _keep(active: np.ndarray, est: np.ndarray, seed: np.ndarray,
 
 def _exploit(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
              t_exploit: int, p_tilde: np.ndarray, delta_l: float,
-             delta_next: float, cfg: PhasedConfig, expand: Expand = _keep,
+             delta_next: float, expand: Expand = _keep,
              ) -> tuple[np.ndarray, int, int, list[int]]:
     """Exploit component: recommend certified golden items B times each.
 
@@ -250,7 +259,7 @@ def _exploit(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     horizon, budget = inst.horizon, inst.budget
     active = np.array(active, copy=True)
     chosen: list[int] = []
-    threshold = EXPLOIT_GAP_FACTOR * cfg.n_clusters * delta_l
+    threshold = EXPLOIT_GAP_FACTOR * inst.n_clusters * delta_l
     while t0 < horizon and active.size:
         rank = golden_rank(horizon, budget, t_exploit)
         if rank <= 0:
@@ -324,14 +333,14 @@ def _run(sim: Simulation, cfg: PhasedConfig, rng: np.random.Generator,
     report = RunReport()
     tasks = [_Task(level=1, users=np.arange(inst.n_users),
                    active=np.arange(inst.n_items), t0=0, t_exploit=0,
-                   eps=cfg.initial_accuracy())]
+                   eps=inst.reward_ceiling if cfg.eps1 is None else cfg.eps1)]
     while tasks:
         task = tasks.pop(0)
         if task.t0 >= horizon:
             continue
         eps_next = task.eps / 2
-        c_gap = ACCURACY_TO_GAP * cfg.n_clusters
-        delta_l = cfg.reward_ceiling if task.level == 1 else task.eps / c_gap
+        c_gap = ACCURACY_TO_GAP * inst.n_clusters
+        delta_l = inst.reward_ceiling if task.level == 1 else task.eps / c_gap
         delta_next = eps_next / c_gap
         record = PhaseRecord(level=task.level, users=task.users,
                              active_before=task.active,
@@ -340,7 +349,7 @@ def _run(sim: Simulation, cfg: PhasedConfig, rng: np.random.Generator,
 
         active, t0, t_exploit, _ = _exploit(
             sim, task.users, task.active, task.t0, task.t_exploit,
-            p_tilde, delta_l, delta_next, cfg, expand)
+            p_tilde, delta_l, delta_next, expand)
         record.active_after_exploit = active
         if t0 >= horizon:
             continue
@@ -349,15 +358,15 @@ def _run(sim: Simulation, cfg: PhasedConfig, rng: np.random.Generator,
             continue
 
         p_raw = sampling_prob(len(task.users), len(active), delta_next,
-                              cfg.sigma, cfg.mu_bound)
+                              inst.noise.scale, cfg.mu_bound)
         p = max(p_raw, exploration_floor(len(task.users), len(active),
-                                         cfg.mu_bound, cfg.n_clusters,
+                                         cfg.mu_bound, inst.n_clusters,
                                          cfg.floor_c))
         record.sampling_p = p
         deep = task.level >= MAX_PHASES
         if active.size >= horizon ** (1 / 3) and p < 1 and not deep:
-            block, t0 = _explore(sim, task.users, active, t0, p, cfg.sigma,
-                                 cfg.n_clusters, cfg.solver, rng)
+            block, t0 = _explore(sim, task.users, active, t0, p, cfg.solver,
+                                 rng)
             record.explored = block is not None
             if block is not None:
                 p_tilde[np.ix_(task.users, active)] = block
@@ -381,11 +390,3 @@ def _run(sim: Simulation, cfg: PhasedConfig, rng: np.random.Generator,
         else:
             _fill_until_end(sim, task.users, active, t0, rng)
     return report
-
-
-def default_config(sim: Simulation, **overrides) -> PhasedConfig:
-    """Config with instance-derived defaults (rank, noise scale, reward scale)."""
-    inst = sim.instance
-    base = PhasedConfig(n_clusters=inst.n_clusters, sigma=inst.noise.scale,
-                        reward_ceiling=inst.reward_ceiling)
-    return replace(base, **overrides) if overrides else base

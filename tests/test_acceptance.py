@@ -15,7 +15,7 @@ import pytest
 from blockedbandits.completion import CompletionProblem, SolverConfig, solve_block
 from blockedbandits.env import GeneratorSpec, NoiseModel, Simulation, generate_instance
 from blockedbandits.harness import SweepSpec, run_algorithm, sweep
-from blockedbandits.item_phased import ItemPhasedConfig, run_item_phased
+from blockedbandits.item_phased import run_item_phased
 from blockedbandits.phased import PhasedConfig, run_phased
 from blockedbandits.rng import stream
 
@@ -73,7 +73,7 @@ class TestAcceptance:
         truth = np.outer(g.normal(size=8), g.normal(size=6))
         omega = np.argwhere(np.ones_like(truth, dtype=bool))
         res_a = solve_block(CompletionProblem(8, 6, omega, truth.ravel(),
-                                              rank=1, sigma=0.0))
+                                              sigma=0.0))
         exact = np.abs(res_a.matrix - truth).max() <= 1e-6
 
         # (b) 20x20 rank-2, p=0.5, sigma=0.01 vs the subgradient oracle
@@ -104,7 +104,7 @@ class TestAcceptance:
                 mask = g.random((100, 100)) < p
                 om = np.argwhere(mask)
                 z = truth[mask] + g.normal(0, 0.1, size=mask.sum())
-                res = solve_block(CompletionProblem(100, 100, om, z, 2, 0.1))
+                res = solve_block(CompletionProblem(100, 100, om, z, 0.1))
                 errs.append(np.abs(res.matrix - truth).max())
             means[p] = float(np.mean(errs))
         elapsed = time.time() - started
@@ -131,9 +131,7 @@ class TestAcceptance:
                     for a in range(4) for b in range(a + 1, 4)]
             assert min(gaps) >= 0.5
             sim = Simulation(inst, seed)
-            cfg = PhasedConfig(n_clusters=4, sigma=0.0,
-                               reward_ceiling=inst.reward_ceiling,
-                               mu_bound=1.5)
+            cfg = PhasedConfig(mu_bound=1.5)
             rep = run_phased(sim, cfg, stream(seed, "decisions:phased"))
             runs.append((inst, sim, rep))
         return runs
@@ -193,6 +191,7 @@ class TestAcceptance:
                   f"{vs_greedy:.1f} sigma, {elapsed:.0f}s < 600s")
         report(6, "regret-ordering-d3", ok, detail)
 
+    @pytest.mark.slow
     def test_07_sublinear_regret_scaling(self):
         # exposed hypers for the desk-scale run: eps1 = 16 * reward ceiling
         # (phase schedule coarse enough that the sampling rate is feasible),
@@ -217,6 +216,7 @@ class TestAcceptance:
                f"regret(60)={means[60]:.1f}, regret(120)={means[120]:.1f}, "
                f"ratio {ratio:.2f} <= 1.7")
 
+    @pytest.mark.slow
     def test_08_etc_horizon_exponent(self):
         # D2-law instance with item headroom (N >> T) so the budget never
         # forces the schedule; exposed hypers: mu_bound=1.2, lighter solver
@@ -272,6 +272,7 @@ class TestAcceptance:
         report(9, "oracle-brute-force-equivalence", checked > 100,
                f"{checked} instance shapes verified exhaustively")
 
+    @pytest.mark.slow
     def test_10_item_clustered_variant(self):
         # exposed hypers: mu_bound=1.5 (instances are built incoherent) and
         # floor_c=2.0 so every row of the zero-noise completion problem is
@@ -282,9 +283,7 @@ class TestAcceptance:
             inst = item_cluster_instance(seed, n_user_clusters=2,
                                          n_item_clusters=2, horizon=44)
             sim = Simulation(inst, seed, reusable_ledger=True)
-            cfg = ItemPhasedConfig(n_clusters=2, sigma=0.0,
-                                   reward_ceiling=inst.reward_ceiling,
-                                   mu_bound=1.5, floor_c=2.0)
+            cfg = PhasedConfig(mu_bound=1.5, floor_c=2.0)
             rep = run_item_phased(sim, cfg,
                                   stream(seed, "decisions:item-phased"))
             got = {frozenset(c.tolist())
@@ -299,9 +298,7 @@ class TestAcceptance:
                                          n_item_clusters=8, horizon=36,
                                          standout=True)
             sim = Simulation(inst, seed, reusable_ledger=True)
-            cfg = ItemPhasedConfig(n_clusters=2, sigma=0.0,
-                                   reward_ceiling=inst.reward_ceiling,
-                                   mu_bound=1.5)
+            cfg = PhasedConfig(mu_bound=1.5)
             run_item_phased(sim, cfg, stream(seed, "decisions:item-phased"))
             thresh = golden_threshold(inst)
             for ev in sim.events:

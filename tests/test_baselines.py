@@ -36,7 +36,7 @@ class TestEtc:
         inst = Instance(4, 5, 8, 2, 2, np.arange(4) % 2,
                         factors[:, np.arange(4) % 2].T,
                         NoiseModel("gaussian", 0.0))
-        _, sim = run_algorithm(inst, "etc", 0, {"p_override": 1.0})
+        _, sim = run_algorithm(inst, "etc", 0, {"m_target": 5.0})  # p = 1
         commits = [(e.user, e.item) for e in sim.events
                    if e.purpose == "commit"]
         order = np.argsort(-inst.rewards, axis=1)
@@ -51,7 +51,7 @@ class TestEtc:
         inst = generate_instance(
             GeneratorSpec(name="d2", n_users=10, n_items=20, n_clusters=2,
                           horizon=12, budget=1), seed=1)
-        _, sim = run_algorithm(inst, "etc", 1, {"p_override": 0.3})
+        _, sim = run_algorithm(inst, "etc", 1, {"m_target": 6.0})  # p = 0.3
         explore_counts = np.zeros(10, dtype=int)
         window_end = np.zeros(10, dtype=int)
         for e in sim.events:
@@ -75,7 +75,7 @@ class TestEtc:
         with pytest.warns(UserWarning):
             from blockedbandits.baselines import run_etc
 
-            run_etc(sim, EtcConfig(p_override=1.7), stream(2, "d"))
+            run_etc(sim, EtcConfig(m_target=13.6), stream(2, "d"))  # p = 1.7
         assert sim.finished()
 
 
@@ -313,6 +313,7 @@ class TestCollabGreedy:
         self.assert_matches_reference(inst, seed,
                                       CollabGreedyConfig(theta, alpha))
 
+    @pytest.mark.slow
     def test_matches_reference_past_float16_range(self):
         # 2600 users who like every item 95% of the time: by round 5 most
         # users are neighbours and the like and pull counts pass 2^11, above

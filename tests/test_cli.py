@@ -116,6 +116,26 @@ class TestConfig:
             with pytest.raises(ConfigurationError, match="fixes"):
                 parse_dataset(dataset)
 
+    @pytest.mark.parametrize("laws,valid", [
+        ({}, False),
+        ({"v_law": "uniform", "v_scale": 2.0}, False),
+        ({"v_law": "normal", "v_scale": 0.5}, False),
+        ({"v_scale": 0.5}, True),
+        ({"v_law": "uniform", "v_scale": 1.0}, True),
+        ({"v_law": "grid"}, True)])
+    def test_schema_and_reader_take_sign_noise_in_unit_interval(self, laws,
+                                                               valid):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((ROOT / "docs" / "run_config.schema.json").read_text())
+        dataset = {"name": "custom", "noise": {"kind": "sign"}, **laws}
+        assert jsonschema.Draft202012Validator(schema).is_valid(
+            {"dataset": dataset}) == valid
+        if valid:
+            parse_dataset(dataset)
+        else:
+            with pytest.raises(ConfigurationError, match="sign feedback"):
+                parse_dataset(dataset)
+
 
 class TestCommands:
     def test_run_deterministic_outputs(self, tmp_path):
@@ -211,6 +231,21 @@ class TestCommands:
         ("sweep", lambda d: d.update(
             datasets=[dict(d["datasets"][0], name="d1")],
             algorithms=[{"name": "collab-greedy"}])),
+        ("run", lambda d: d.update(algorithm={
+            "name": "practical",
+            "params": {"phase_length_base": 0, "phase_length_slope": 0}})),
+        ("run", lambda d: d.update(algorithm={
+            "name": "phased", "params": {"mu_bound": -1.0}})),
+        ("run", lambda d: d["algorithm"].update(params={"m_target": -3.0})),
+        ("run", lambda d: d["dataset"].update(name="custom",
+                                              noise={"kind": "sign"})),
+        ("run", lambda d: d.update(algorithm={
+            "name": "phased", "params": {"n_clusters": 2}})),
+        ("run", lambda d: d.update(algorithm={
+            "name": "phased", "params": {"sigma": 0.5}})),
+        ("run", lambda d: d.update(algorithm={
+            "name": "phased", "params": {"reward_ceiling": 5.0}})),
+        ("run", lambda d: d["algorithm"].update(params={"p_override": 0.5})),
     ], ids=["users-abc", "noise-5", "sigma-x", "dataset-name", "etc-param",
             "random-param", "oracle-param", "algorithm-not-object",
             "sweep-users-x", "item-clusters-x", "seeds-ab",
@@ -225,7 +260,10 @@ class TestCommands:
             "etc-m-target-inf", "collab-greedy-theta-nan", "d3-noise",
             "d1-v-law", "d2-v-scale", "collab-greedy-negative-exponents",
             "collab-greedy-theta-zero", "collab-greedy-alpha-zero",
-            "collab-greedy-gaussian-noise"])
+            "collab-greedy-gaussian-noise", "practical-zero-phase-length",
+            "phased-mu-bound-negative", "etc-m-target-negative",
+            "custom-sign-noise-default-law", "phased-n-clusters",
+            "phased-sigma", "phased-reward-ceiling", "etc-p-override"])
     def test_bad_config_exits_before_any_cell(self, tmp_path, capsys,
                                              command, edit):
         base = RUN_DOC if command == "run" else SWEEP_DOC

@@ -28,7 +28,7 @@ def masked_problem(truth: np.ndarray, p: float, sigma: float, seed: int) -> Comp
     omega = np.argwhere(mask)
     values = truth[mask] + g.normal(0, sigma, size=mask.sum())
     return CompletionProblem(truth.shape[0], truth.shape[1], omega, values,
-                             rank=2, sigma=sigma)
+                             sigma=sigma)
 
 
 def nuclear_objective(q: np.ndarray, prob: CompletionProblem, lam: float) -> float:
@@ -62,7 +62,7 @@ class TestSolveBlock:
         g = np.random.default_rng(0)
         truth = np.outer(g.normal(size=8), g.normal(size=6))
         omega = np.argwhere(np.ones_like(truth, dtype=bool))
-        prob = CompletionProblem(8, 6, omega, truth.ravel(), rank=1, sigma=0.0)
+        prob = CompletionProblem(8, 6, omega, truth.ravel(), sigma=0.0)
         res = solve_block(prob, SolverConfig())
         assert res.lam == 0.0
         assert np.abs(res.matrix - truth).max() <= 1e-6
@@ -112,14 +112,14 @@ class TestSolveBlock:
         # same pair observed twice: the fit targets the count-weighted mean
         omega = np.array([[0, 0], [0, 0], [1, 1]])
         values = np.array([1.0, 3.0, 0.5])
-        prob = CompletionProblem(2, 2, omega, values, rank=1, sigma=0.5)
+        prob = CompletionProblem(2, 2, omega, values, sigma=0.5)
         res = solve_block(prob, SolverConfig(c_lambda=1e-6))
         assert res.matrix[0, 0] == pytest.approx(2.0, abs=1e-3)
 
     def test_empty_omega_rejected(self):
         with pytest.raises(ValueError):
             solve_block(CompletionProblem(2, 2, np.empty((0, 2), dtype=int),
-                                          np.empty(0), 1, 0.1))
+                                          np.empty(0), 0.1))
 
 
 def proximal_gradient(prob: CompletionProblem, lam: float, cfg: SolverConfig
@@ -163,7 +163,7 @@ def d1_block() -> CompletionProblem:
     g = np.random.default_rng(1)
     mask = g.random((150, 150)) < 0.08
     values = inst.rewards[mask] + g.normal(0, 0.5, size=mask.sum())
-    return CompletionProblem(150, 150, np.argwhere(mask), values, rank=4, sigma=0.5)
+    return CompletionProblem(150, 150, np.argwhere(mask), values, sigma=0.5)
 
 
 @pytest.fixture
@@ -243,7 +243,7 @@ class TestMfista:
     def test_estimate_sums_block_iterations(self, monkeypatch, svd_calls):
         truth = incoherent_low_rank(12, 2, seed=4)[:, :6]
         prob = masked_problem(truth, 0.7, 0.1, seed=4)  # two 6x6 blocks
-        res = estimate(12, 6, prob.omega, prob.values, 0.1, 2, SolverConfig(),
+        res = estimate(12, 6, prob.omega, prob.values, 0.1, SolverConfig(),
                        stream(4, "zeta"))
         monkeypatch.undo()
         assert res.iterations == len(svd_calls) > 0
@@ -272,7 +272,7 @@ def instance_block(name: str, shape: tuple[int, int], p: float, sigma: float,
     mask = g.random(shape) < p
     values = inst.rewards[mask] + g.normal(0, sigma, size=mask.sum())
     return CompletionProblem(shape[0], shape[1], np.argwhere(mask), values,
-                             rank=4, sigma=sigma)
+                             sigma=sigma)
 
 
 ACCURACY_BLOCKS = {
@@ -417,7 +417,7 @@ class TestEstimate:
         truth = incoherent_low_rank(12, 2, seed=5)
         prob = masked_problem(truth, 0.6, 0.05, seed=5)
         direct = solve_block(prob, SolverConfig())
-        via_estimate = estimate(12, 12, prob.omega, prob.values, 0.05, 2,
+        via_estimate = estimate(12, 12, prob.omega, prob.values, 0.05,
                                 SolverConfig(), stream(0, "part"))
         assert np.abs(direct.matrix - via_estimate.matrix).max() <= 1e-9
 
@@ -432,7 +432,7 @@ class TestEstimate:
         keep_cols = np.flatnonzero(probe != empty_group)
         omega = np.array([[r, c] for r in range(2) for c in keep_cols])
         values = np.ones(len(omega))
-        res = estimate(2, 4, omega, values, 0.1, 1, SolverConfig(), rng)
+        res = estimate(2, 4, omega, values, 0.1, SolverConfig(), rng)
         assert res.empty_blocks
         assert (res.matrix[:, cols_in_empty] == 0).all()
 
@@ -441,12 +441,12 @@ class TestEstimate:
         # solver for the same partition stream
         truth = incoherent_low_rank(18, 2, seed=6)[:6]  # 6 x 18
         prob = masked_problem(truth, 0.7, 0.02, seed=6)
-        base = estimate(6, 18, prob.omega, prob.values, 0.02, 2,
+        base = estimate(6, 18, prob.omega, prob.values, 0.02,
                         SolverConfig(), stream(5, "zeta"))
         perm = np.random.default_rng(1).permutation(6)
         omega2 = prob.omega.copy()
         omega2[:, 0] = perm[omega2[:, 0]]
-        permuted = estimate(6, 18, omega2, prob.values, 0.02, 2,
+        permuted = estimate(6, 18, omega2, prob.values, 0.02,
                             SolverConfig(), stream(5, "zeta"))
         assert np.abs(base.matrix[np.argsort(np.argsort(perm))] -
                       permuted.matrix[np.argsort(np.argsort(perm))]).max() >= 0
@@ -455,13 +455,13 @@ class TestEstimate:
     def test_full_relabelling_equivariance_square(self):
         truth = incoherent_low_rank(10, 2, seed=7)
         prob = masked_problem(truth, 0.8, 0.05, seed=7)
-        base = estimate(10, 10, prob.omega, prob.values, 0.05, 2,
+        base = estimate(10, 10, prob.omega, prob.values, 0.05,
                         SolverConfig(), stream(6, "zeta"))
         g = np.random.default_rng(2)
         rperm, cperm = g.permutation(10), g.permutation(10)
         omega2 = np.stack([rperm[prob.omega[:, 0]],
                            cperm[prob.omega[:, 1]]], axis=1)
-        permuted = estimate(10, 10, omega2, prob.values, 0.05, 2,
+        permuted = estimate(10, 10, omega2, prob.values, 0.05,
                             SolverConfig(), stream(6, "zeta"))
         assert np.abs(permuted.matrix[np.ix_(rperm, cperm)] -
                       base.matrix).max() <= 1e-8
@@ -470,10 +470,10 @@ class TestEstimate:
         # sparse-sample error within 5x of the fully observed reference
         truth = incoherent_low_rank(100, 2, seed=8, scale=1.0)
         ref = masked_problem(truth, 1.0, 0.01, seed=8)
-        full = estimate(100, 100, ref.omega, ref.values, 0.01, 2,
+        full = estimate(100, 100, ref.omega, ref.values, 0.01,
                         SolverConfig(), stream(7, "zeta"))
         sparse = masked_problem(truth, 0.3, 0.01, seed=9)
-        part = estimate(100, 100, sparse.omega, sparse.values, 0.01, 2,
+        part = estimate(100, 100, sparse.omega, sparse.values, 0.01,
                         SolverConfig(), stream(7, "zeta"))
         err_full = np.abs(full.matrix - truth).max()
         err_part = np.abs(part.matrix - truth).max()

@@ -107,6 +107,26 @@ class TestGenerator:
         assert (spec.v_law, spec.v_scale, spec.noise) == \
             ("grid", 2.0, NoiseModel("sign"))
 
+    @pytest.mark.parametrize("laws,ok", [
+        ({}, False),  # the custom default, uniform(0, 5)
+        ({"v_law": "uniform", "v_scale": 1.5}, False),
+        ({"v_law": "normal", "v_scale": 0.5}, False),
+        ({"v_scale": 1.0}, True),
+        ({"v_law": "uniform", "v_scale": 0.5}, True),
+        ({"v_law": "grid", "v_scale": 5.0}, True)])
+    def test_sign_noise_needs_rewards_in_unit_interval(self, laws, ok):
+        def spec():
+            return GeneratorSpec(name="custom", n_users=6, n_items=8,
+                                 n_clusters=2, horizon=4,
+                                 noise=NoiseModel("sign"), **laws)
+
+        if ok:
+            rewards = generate_instance(spec(), seed=0).rewards
+            assert 0 <= rewards.min() and rewards.max() <= 1
+        else:
+            with pytest.raises(ConfigurationError, match="sign feedback"):
+                spec()
+
     def test_item_cluster_structure(self):
         spec = GeneratorSpec(name="custom", n_users=12, n_items=15,
                              n_clusters=3, horizon=6, budget=1,

@@ -151,10 +151,10 @@ class TestSweep:
         assert len(lines) - 1 == 2 * 2 * 6  # algorithms x seeds x horizon
 
     def test_failed_cell_recorded_not_raised(self, monkeypatch):
-        def failing(sim, rng):
+        def failing(sim, cfg, rng):
             raise RuntimeError("policy failed")
 
-        monkeypatch.setitem(harness.ALGORITHMS, "random", failing)
+        monkeypatch.setitem(harness.ALGORITHMS, "random", (None, failing))
         gen = GeneratorSpec(name="d2", n_users=6, n_items=8, n_clusters=2,
                             horizon=4, budget=1)
         spec = SweepSpec.make([("ds", gen)], [("random", "random", {})], [0])
@@ -197,10 +197,11 @@ class TestParamTypes:
 
     @pytest.mark.parametrize("name,params", [
         ("etc", {"m_target": 10}),
-        ("etc", {"m_target": np.float64(2.5), "p_override": None}),
+        ("etc", {"m_target": np.float64(2.5)}),
         ("practical", {"phase_length_base": np.int64(5), "gap_divisor": 1,
                        "centroid_smoothing": True}),
-        ("phased", {"solver": SolverConfig(max_iters=50), "mu_bound": 3}),
+        ("phased", {"solver": SolverConfig(max_iters=50), "mu_bound": 3,
+                    "eps1": None}),
     ])
     def test_well_typed_params_accepted(self, name, params):
         SweepSpec.make([("d", self.SPEC)], [("a", name, params)], [0])

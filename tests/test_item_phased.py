@@ -5,12 +5,8 @@ import pytest
 
 from blockedbandits.env import Simulation
 from blockedbandits.harness import run_algorithm
-from blockedbandits.item_phased import (
-    ItemPhasedConfig,
-    _closure,
-    run_item_phased,
-)
-from blockedbandits.phased import similarity_components
+from blockedbandits.item_phased import _closure, run_item_phased
+from blockedbandits.phased import PhasedConfig, similarity_components
 from blockedbandits.rng import stream
 
 from conftest import golden_threshold, item_cluster_instance, true_partition
@@ -57,17 +53,14 @@ class TestRunItemPhased:
     def test_requires_reusable_ledger(self):
         inst = item_cluster_instance(2)
         sim = Simulation(inst, 2, reusable_ledger=False)
-        cfg = ItemPhasedConfig(n_clusters=2, sigma=0.0,
-                               reward_ceiling=inst.reward_ceiling)
+        cfg = PhasedConfig()
         with pytest.raises(ValueError):
             run_item_phased(sim, cfg, stream(2, "d"))
 
     def test_user_cluster_recovery_two_by_two(self):
         inst = item_cluster_instance(3)
         sim = Simulation(inst, 3, reusable_ledger=True)
-        cfg = ItemPhasedConfig(n_clusters=2, sigma=0.0,
-                               reward_ceiling=inst.reward_ceiling,
-                               mu_bound=1.5)
+        cfg = PhasedConfig(mu_bound=1.5)
         report = run_item_phased(sim, cfg, stream(3, "decisions:item-phased"))
         got = {frozenset(c.tolist()) for c in report.components_at_level(1)}
         assert got == true_partition(inst)
@@ -84,9 +77,7 @@ class TestRunItemPhased:
     def test_active_sets_are_unions_of_item_clusters(self):
         inst = item_cluster_instance(6)
         sim = Simulation(inst, 6, reusable_ledger=True)
-        cfg = ItemPhasedConfig(n_clusters=2, sigma=0.0,
-                               reward_ceiling=inst.reward_ceiling,
-                               mu_bound=1.5)
+        cfg = PhasedConfig(mu_bound=1.5)
         report = run_item_phased(sim, cfg, stream(6, "decisions:item-phased"))
         deeper = [r for r in report.records if r.level >= 2]
         assert deeper

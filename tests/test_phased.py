@@ -141,8 +141,7 @@ class TestRunPhased:
         inst = cluster_gap_instance(0, n_users=20, n_items=24, n_clusters=2,
                                     horizon=30)
         sim = Simulation(inst, 0)
-        cfg = PhasedConfig(n_clusters=2, sigma=0.0,
-                           reward_ceiling=inst.reward_ceiling, mu_bound=1.5)
+        cfg = PhasedConfig(mu_bound=1.5)
         report = run_phased(sim, cfg, stream(0, "decisions:phased"))
         got = {frozenset(c.tolist()) for c in report.components_at_level(1)}
         assert got == true_partition(inst)
@@ -152,9 +151,7 @@ class TestRunPhased:
                                     horizon=26)
         sim = Simulation(inst, 1)
         # tiny instance: raise the sampling floor so every row is well covered
-        cfg = PhasedConfig(n_clusters=1, sigma=0.0,
-                           reward_ceiling=inst.reward_ceiling, mu_bound=1.5,
-                           floor_c=2.6)
+        cfg = PhasedConfig(mu_bound=1.5, floor_c=2.6)
         report = run_phased(sim, cfg, stream(1, "decisions:phased"))
         comps = report.components_at_level(1)
         assert len(comps) == 1 and len(comps[0]) == 12
@@ -219,8 +216,8 @@ class TestRunPhased:
                         factors[:, np.arange(6) % 2].T,
                         NoiseModel("gaussian", 0.0))
         sim = Simulation(inst, 6)
-        block, t_new = _explore(sim, np.arange(6), np.arange(5), 0, 1.0, 0.0,
-                                2, SolverConfig(), stream(6, "d"))
+        block, t_new = _explore(sim, np.arange(6), np.arange(5), 0, 1.0,
+                                SolverConfig(), stream(6, "d"))
         assert t_new == 5
         assert np.abs(block - inst.rewards).max() <= 1e-6
 
@@ -230,12 +227,11 @@ class TestRunPhased:
         inst = Instance(4, 6, 6, 2, 1, np.zeros(4, dtype=int), rewards,
                         NoiseModel("gaussian", 0.0))
         sim = Simulation(inst, 7)
-        cfg = PhasedConfig(n_clusters=1, sigma=0.0, reward_ceiling=5.0)
         p_tilde = rewards.copy()
         delta = 0.01
         active, t_new, t_exploit, chosen = _exploit(
             sim, np.arange(4), np.arange(6), 0, 0, p_tilde,
-            delta_l=delta, delta_next=delta, cfg=cfg)
+            delta_l=delta, delta_next=delta)
         assert set(chosen) == {0, 1}
         assert not set(chosen) & set(active.tolist())
         assert t_new == t_exploit == len(chosen) * inst.budget
@@ -260,8 +256,7 @@ class TestRunPhased:
         inst = cluster_gap_instance(8, n_users=24, n_items=28, n_clusters=2,
                                     horizon=30)
         sim = Simulation(inst, 8)
-        cfg = PhasedConfig(n_clusters=2, sigma=0.0,
-                           reward_ceiling=inst.reward_ceiling, mu_bound=1.5)
+        cfg = PhasedConfig(mu_bound=1.5)
         report = run_phased(sim, cfg, stream(8, "decisions:phased"))
         by_level: dict[int, list] = {}
         for rec in report.records:
