@@ -416,8 +416,11 @@ def run_oracle(sim: Simulation) -> None:
 
 def _kth_free(free: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Per row of the boolean matrix ``free``, the index of its k-th (from
-    0) True entry."""
-    return (np.cumsum(free, axis=1) > k[:, None]).argmax(axis=1)
+    0) True entry; row i needs more than k[i] True entries."""
+    n_rows, n_cols = free.shape
+    sizes = np.count_nonzero(free, axis=1)
+    starts = np.cumsum(sizes) - sizes  # row i's first True in flat order
+    return np.flatnonzero(free)[starts + k] - np.arange(n_rows) * n_cols
 
 
 def run_random(sim: Simulation, rng: np.random.Generator) -> None:

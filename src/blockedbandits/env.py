@@ -19,6 +19,7 @@ reuse as per-pair stacks of event ids in two arrays.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -302,9 +303,6 @@ class BlockingLedger:
         """Read-only use: a view of the ledger's own row."""
         return self.counts[user]
 
-    def is_blocked(self, user: int, item: int) -> bool:
-        return self.count(user, item) >= self.budget
-
     def max_pair_count(self) -> int:
         return int(self.counts.max())
 
@@ -318,13 +316,16 @@ class BlockingLedger:
             self.top[user, item] = event_id
 
     def record_many(self, users: np.ndarray, items: np.ndarray,
-                    event_ids: np.ndarray, consumable: bool) -> None:
-        """``record`` for each pair in order; raises before any write."""
+                    event_ids: np.ndarray, consumable: bool | np.ndarray,
+                    ) -> None:
+        """``record`` for each pair in order, with one ``consumable`` flag
+        for the batch or one per pair; raises before any write."""
         pairs = np.ravel_multi_index((users, items), self.counts.shape)
+        stack = np.broadcast_to(
+            self.reusable | ~np.asarray(consumable, dtype=bool), pairs.shape)
         order, starts = _runs(pairs)
-        ordered, stacked = pairs[order], event_ids[order]
         ends = np.r_[starts[1:], True]
-        last = ordered[ends]  # each distinct pair once
+        last = pairs[order][ends]  # each distinct pair once
         counts = self.counts.reshape(-1)
         after = counts[last] + np.diff(np.flatnonzero(ends), prepend=-1)
         if after.max() > self.budget:
@@ -332,11 +333,17 @@ class BlockingLedger:
                                           self.counts.shape)
             raise BudgetError(f"budget exhausted for user {user}, item {item}")
         counts[last] = after
-        if self.reusable or not consumable:
-            top = self.top.reshape(-1)
-            self.below[stacked] = np.where(starts, top[ordered],
-                                           np.r_[-1, stacked[:-1]])
-            top[last] = stacked[ends]
+        if not stack.any():
+            return
+        if not stack.all():
+            pairs, event_ids = pairs[stack], event_ids[stack]
+            order, starts = _runs(pairs)
+            ends = np.r_[starts[1:], True]
+        ordered, stacked = pairs[order], event_ids[order]
+        top = self.top.reshape(-1)
+        self.below[stacked] = np.where(starts, top[ordered],
+                                       np.r_[-1, stacked[:-1]])
+        top[ordered[ends]] = stacked[ends]
 
     def has_reusable(self, user: int, item: int) -> bool:
         return bool(self.top[user, item] >= 0)
@@ -377,11 +384,14 @@ class Simulation:
     ``event_reward``.  ``consumed`` holds (event id, estimate-call id) pairs
     in call order.
 
-    ``recommend`` is the scalar path, for policies whose next pick depends
-    on the last observation.  ``recommend_many`` records a whole batch, such
-    as a round of every user or a user's remaining rounds, in a few array
-    operations; it writes what the scalar calls in batch order would write,
-    down to the event ids and the ledger's stacks.
+    ``recommend`` is the scalar path, left to the practical variant, whose
+    every pick reads the reward observed just before it.  Every other
+    policy records through ``recommend_many``: a whole batch, such as a
+    round of every user, a phased block or a user's remaining rounds, in a
+    few array operations, with one purpose and consumable flag for the
+    batch or one per pair.  It writes what the scalar calls in batch order
+    would write, down to the event ids, the purpose codes and the ledger's
+    stacks.
     """
 
     def __init__(self, inst: Instance, seed: int, reusable_ledger: bool = False):
@@ -446,14 +456,17 @@ class Simulation:
         return value, event_id
 
     def recommend_many(self, users: np.ndarray, items: np.ndarray,
-                       purpose: str, consumable: bool = False,
+                       purpose: str | Sequence[str],
+                       consumable: bool | np.ndarray = False,
                        ) -> tuple[np.ndarray, np.ndarray]:
         """``recommend`` on each (users[i], items[i]) in order, recorded at
-        once: the same events, ledger counts and stacks.  Returns the
-        observed values and the event ids.  Checks the whole batch before
-        any write: :class:`ProtocolError` if a user would pass round T, then
-        :class:`BudgetError` if a pair would pass the budget, and a failed
-        batch leaves the simulation as it was."""
+        once: the same events, purpose codes, ledger counts and stacks.
+        ``purpose`` and ``consumable`` are one value for the whole batch or
+        one per pair.  Returns the observed values and the event ids.
+        Checks the whole batch before any write: :class:`ProtocolError` if a
+        user would pass round T, then :class:`BudgetError` if a pair would
+        pass the budget, and a failed batch leaves the simulation as it
+        was."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         if not users.size:
@@ -479,8 +492,14 @@ class Simulation:
         self.event_round[batch] = rounds
         self.event_user[batch] = users
         self.event_item[batch] = items
-        self.event_purpose[batch] = self.purposes.setdefault(
-            purpose, len(self.purposes))
+        if isinstance(purpose, str):
+            self.event_purpose[batch] = self.purposes.setdefault(
+                purpose, len(self.purposes))
+        else:
+            for name in dict.fromkeys(purpose):  # codes in first-use order
+                self.purposes.setdefault(name, len(self.purposes))
+            self.event_purpose[batch] = [self.purposes[name]
+                                         for name in purpose]
         self.event_reward[batch] = values
         self.n_events += users.size
         self.rounds_done += np.bincount(users, minlength=self.instance.n_users)

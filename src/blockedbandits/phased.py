@@ -12,13 +12,20 @@ asynchronously; two count matrices guarantee no pair ever exceeds budget B
 and no observation is consumed by more than one estimation call.  The
 item-clustered variant (:mod:`item_phased`) runs the same task loop with a
 reusable ledger and an item-closure hook.
+
+Each block is recorded with ``Simulation.recommend_many``: the explore block
+as one batch, each exploit round as one, and the fill as one.  A user's
+decisions read a local copy of its ledger row, so the events, the reuse log
+and the draws from ``rng`` are those of recommending one pair at a time; an
+explore batch is split only where a stored observation is read.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -171,15 +178,75 @@ class _Task:
     eps: float
 
 
-def _pick_filler(sim: Simulation, user: int, active: np.ndarray,
-                 excluded: np.ndarray, rng: np.random.Generator) -> int:
-    """A uniform draw from the unblocked active items outside the boolean
-    item mask ``excluded``; failing that, ``any_unblocked``."""
-    cand = sim.unblocked_in(user, active)
-    cand = cand[~excluded[cand]]
-    if cand.size:
-        return int(cand[rng.integers(cand.size)])
-    return sim.any_unblocked(user, active)
+def _lowest_unblocked(counts: np.ndarray, preferred: np.ndarray,
+                      budget: int) -> np.ndarray:
+    """``Simulation.any_unblocked`` on each user row of ledger ``counts``
+    (one row or a stack of rows): the first item of ``preferred`` with
+    budget left, else the lowest item with budget left."""
+    free = counts < budget
+    pref = free[..., preferred]
+    return np.where(pref.any(axis=-1), preferred[pref.argmax(axis=-1)],
+                    free.argmax(axis=-1))
+
+
+def _walk(counts: list[int], cand: list[int], budget: int, n: int,
+          preferred: np.ndarray, rng: np.random.Generator) -> Iterator[int]:
+    """One user's picks, made as they are asked for: each a uniform draw
+    from the list ``cand``, which an item leaves when its count in the
+    user's ledger row ``counts`` (a local copy) reaches ``budget``; an empty
+    list falls back to ``_lowest_unblocked`` over ``preferred``.  Each pick
+    is added to ``counts``; between picks the caller may change counts
+    outside ``cand`` only.
+
+    The caller takes at least ``n`` picks.  When every candidate has one
+    pick left, each draw removes its item, so the bounds of the first
+    min(n, len(cand)) draws are known ahead (len(cand), len(cand) - 1, ...)
+    and they are made in one array-bounded call, which gives the same values
+    and generator state as one call per pick; later draws are made one at a
+    time.
+    """
+    draws = iter(())
+    n_ahead = min(n, len(cand))
+    # candidates are below the budget, so the least count is budget - 1
+    # only if every count is
+    if n_ahead and min([counts[item] for item in cand]) == budget - 1:
+        bounds = np.arange(len(cand), len(cand) - n_ahead, -1)
+        draws = iter(rng.integers(0, bounds).tolist())
+    while True:
+        if cand:
+            pos = next(draws, None)
+            if pos is None:
+                pos = int(rng.integers(len(cand)))
+            item = cand[pos]
+            if counts[item] + 1 >= budget:
+                del cand[pos]
+        else:
+            item = int(_lowest_unblocked(np.array(counts), preferred,
+                                         budget))
+        counts[item] += 1
+        yield item
+
+
+class _Batch:
+    """Recommendations decided but not yet recorded: ``flush`` records them
+    in order with one ``Simulation.recommend_many`` call."""
+
+    def __init__(self, sim: Simulation):
+        self.sim = sim
+        self.entries: list[tuple[int, int, str, bool]] = []
+
+    def add(self, user: int, item: int, purpose: str,
+            consumable: bool = False) -> int:
+        """Queue one recommendation; the event id it will get."""
+        self.entries.append((user, item, purpose, consumable))
+        return self.sim.n_events + len(self.entries) - 1
+
+    def flush(self) -> None:
+        if self.entries:
+            users, items, purposes, consumable = zip(*self.entries)
+            self.sim.recommend_many(users, items, purposes,
+                                    np.array(consumable))
+            self.entries.clear()
 
 
 def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
@@ -187,52 +254,63 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
              rng: np.random.Generator) -> tuple[np.ndarray | None, int]:
     """Explore component: Bernoulli sampling, budget-aware recommendation,
     completion at the instance's noise scale.  Returns the estimated
-    sub-matrix (or None) and the new round."""
+    sub-matrix (or None) and the new round.
+
+    Each user recommends its sampled items in order, for at most m rounds
+    (the longest queue); a blocked pair feeds its stored observation, if
+    any, to completion and gives its round to a filler, a uniform draw from
+    the unblocked active items outside the user's sample; fillers pad the
+    user to m rounds.  Decisions use a local copy of the user's ledger row,
+    and the block is recorded as one batch, split only where a stored
+    observation is read."""
     inst = sim.instance
-    horizon = inst.horizon
-    n_u, n_i = len(users), len(active)
-    picks = rng.random((n_u, n_i)) < p
-    per_user = [np.flatnonzero(picks[lu]) for lu in range(n_u)]
-    m = max((len(q) for q in per_user), default=0)
-    m = min(m, horizon - t0)
+    horizon, budget = inst.horizon, inst.budget
+    picks = rng.random((len(users), len(active))) < p
+    queues = [np.flatnonzero(row) for row in picks]
+    m = min(max(map(len, queues), default=0), horizon - t0)
     if m == 0:
         return None, t0
 
-    omega_rows: list[int] = []
-    omega_cols: list[int] = []
-    values: list[float] = []
-    consumed_ids: list[int] = []
-    for lu, user in enumerate(users):
-        queue = per_user[lu]
+    batch = _Batch(sim)
+    omega: list[tuple[int, int, int]] = []  # (local user, local item, event)
+    for lu, (user, queue) in enumerate(zip(users.tolist(), queues)):
         in_omega = np.zeros(inst.n_items, dtype=bool)
         in_omega[active[queue]] = True
-        for lj in queue[: m]:
-            item = int(active[lj])
-            if not sim.ledger.is_blocked(user, item):
-                obs = sim.recommend(user, item, "explore", consumable=True)
-            else:
-                # a blocked pair contributes a stored observation if it has
-                # one, else it is dropped from the completion problem
-                obs = sim.reuse_observation(user, item) \
-                    if sim.ledger.has_reusable(user, item) else None
-                filler = _pick_filler(sim, user, active, in_omega, rng)
-                sim.recommend(user, filler, "filler")
-            if obs is not None:
-                omega_rows.append(lu)
-                omega_cols.append(int(lj))
-                values.append(obs[0])
-                consumed_ids.append(obs[1])
-        for _ in range(m - len(queue)):  # empty when the queue fills m
-            filler = _pick_filler(sim, user, active, in_omega, rng)
-            sim.recommend(user, filler, "filler")
+        row = sim.ledger.counts_row(user)
+        free = row[active] < budget
+        head = queue[:m]
+        pad = max(m - len(queue), 0)
+        counts = row.tolist()
+        fillers = _walk(counts, active[free & ~in_omega[active]].tolist(),
+                        budget, int((~free[head]).sum()) + pad, active, rng)
+        for lj, item in zip(head.tolist(), active[head].tolist()):
+            if counts[item] < budget:
+                counts[item] += 1
+                omega.append((lu, lj, batch.add(user, item, "explore",
+                                                consumable=True)))
+                continue
+            # a blocked pair contributes a stored observation if it has
+            # one, else it is dropped from the completion problem; the batch
+            # is recorded first where it could change what is read: the
+            # pair's stack (the batch holds the pair) or the user's round
+            # that the reuse log takes
+            if counts[item] > sim.ledger.count(user, item):
+                batch.flush()
+            if sim.ledger.has_reusable(user, item):
+                batch.flush()
+                omega.append((lu, lj, sim.reuse_observation(user, item)[1]))
+            batch.add(user, next(fillers), "filler")
+        for filler in islice(fillers, pad):
+            batch.add(user, filler, "filler")
+    batch.flush()
 
     t_new = t0 + m
-    if not values:
+    if not omega:
         return None, t_new
-    omega = np.stack([omega_rows, omega_cols], axis=1)
-    result = estimate(n_u, n_i, omega, np.asarray(values), inst.noise.scale,
-                      solver, rng)
-    sim.mark_consumed(consumed_ids)
+    rows, cols, ids = np.array(omega).T
+    result = estimate(len(users), len(active), np.stack([rows, cols], axis=1),
+                      sim.event_reward[ids], inst.noise.scale, solver, rng)
+    sim.mark_consumed(ids.tolist())
     return result.matrix, t_new
 
 
@@ -275,14 +353,8 @@ def _exploit(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
         seed = active[np.flatnonzero(near_top.any(axis=0))]
         s_items = expand(active, est, seed, delta_next)
         n_rounds = min(len(s_items) * budget, horizon - t0)
-        for step in range(1, n_rounds + 1):
-            item = int(s_items[math.ceil(step / budget) - 1])
-            for user in users:
-                if not sim.ledger.is_blocked(user, item):
-                    sim.recommend(user, item, "exploit")
-                else:
-                    sub = sim.any_unblocked(user, active)
-                    sim.recommend(user, sub, "filler")
+        for step in range(n_rounds):
+            _exploit_step(sim, users, int(s_items[step // budget]), active)
         t0 += n_rounds
         t_exploit += n_rounds
         chosen.extend(int(j) for j in s_items)
@@ -291,30 +363,33 @@ def _exploit(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     return active, t0, t_exploit, chosen
 
 
+def _exploit_step(sim: Simulation, users: np.ndarray, item: int,
+                  active: np.ndarray) -> None:
+    """One exploit round, recorded as one batch: ``item`` to every user,
+    and to a user whose pair is blocked, ``_lowest_unblocked`` over
+    ``active`` as a filler."""
+    budget = sim.instance.budget
+    counts = sim.ledger.counts
+    blocked = counts[users, item] >= budget
+    picks = np.full(users.size, item)
+    picks[blocked] = _lowest_unblocked(counts[users[blocked]], active, budget)
+    sim.recommend_many(users, picks,
+                       np.where(blocked, "filler", "exploit").tolist())
+
+
 def _fill_until_end(sim: Simulation, users: np.ndarray, active: np.ndarray,
                     t0: int, rng: np.random.Generator) -> None:
     """A uniform draw from the unblocked active items for every user and
-    round left, recorded as one batch.  Each user draws from a list of its
-    unblocked active items, which an item leaves when it reaches the budget;
-    an empty list falls back to the lowest unblocked item, as
-    ``any_unblocked`` does."""
+    round left, one ``_walk`` per user, recorded as one batch."""
     budget = sim.instance.budget
+    n = sim.instance.horizon - t0
     picks: list[int] = []
-    for user in users:
-        counts = sim.ledger.counts_row(user).copy()
-        cand = active[counts[active] < budget].tolist()
-        for _ in range(t0, sim.instance.horizon):
-            if not cand:
-                item = int(np.flatnonzero(counts < budget)[0])
-            else:
-                pos = int(rng.integers(len(cand)))
-                item = cand[pos]
-                if counts[item] + 1 >= budget:
-                    del cand[pos]
-            counts[item] += 1
-            picks.append(item)
-    sim.recommend_many(np.repeat(users, sim.instance.horizon - t0), picks,
-                       "fill")
+    for user in users.tolist():
+        row = sim.ledger.counts_row(user)
+        cand = active[row[active] < budget].tolist()
+        picks.extend(islice(_walk(row.tolist(), cand, budget, n, active, rng),
+                            n))
+    sim.recommend_many(np.repeat(users, n), picks, "fill")
 
 
 def run_phased(sim: Simulation, cfg: PhasedConfig,

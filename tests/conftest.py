@@ -1,4 +1,4 @@
-"""Shared instance builders for the test suite."""
+"""Shared instance builders and state views for the test suite."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from blockedbandits.env import Instance, NoiseModel
+from blockedbandits.env import Instance, NoiseModel, Simulation
 
 
 def cluster_gap_instance(seed: int, n_users: int = 60, n_items: int = 60,
@@ -61,6 +61,21 @@ def golden_threshold(inst: Instance) -> np.ndarray:
     """Per-user reward value of the last golden slot (ties included)."""
     n_golden = math.ceil(inst.horizon / inst.budget)
     return np.sort(inst.rewards, axis=1)[:, ::-1][:, n_golden - 1]
+
+
+def sim_state(sim: Simulation) -> dict:
+    """Everything a recommendation, a reuse or an estimate call may write,
+    as plain values; purpose codes in the order they were assigned."""
+    n = sim.n_events
+    columns = (sim.event_round, sim.event_user, sim.event_item,
+               sim.event_purpose, sim.event_reward)
+    return {"n_events": n, "columns": [col[:n].tolist() for col in columns],
+            "counts": sim.ledger.counts.tolist(),
+            "top": sim.ledger.top.tolist(), "below": sim.ledger.below.tolist(),
+            "rounds_done": sim.rounds_done.tolist(),
+            "reuse_log": list(sim.reuse_log),
+            "purposes": list(sim.purposes.items()),
+            "consumed": list(sim.consumed)}
 
 
 @pytest.fixture

@@ -45,6 +45,7 @@ def small_dataset(name: str) -> GeneratorSpec:
 
 
 class TestAcceptance:
+    @pytest.mark.slow
     def test_01_budget_safety(self):
         started = time.time()
         common = [("phased", "phased", {}), ("practical", "practical", {}),
@@ -67,6 +68,7 @@ class TestAcceptance:
                f"{len(results)} runs, {len(failures)} errors, "
                f"{len(over_budget)} budget breaches, {elapsed:.1f}s < 120s")
 
+    @pytest.mark.slow
     def test_02_completion_correctness(self):
         # (a) zero regulariser, full observation, rank-1: exact recovery
         g = np.random.default_rng(0)

@@ -332,6 +332,27 @@ class TestCollabGreedy:
         assert sim.finished()
 
 
+class TestKthFree:
+    @given(n_rows=st.integers(1, 12), n_cols=st.integers(1, 12),
+           budget=st.integers(1, 2), one_free=st.floats(0, 1),
+           seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_cumsum_reference(self, n_rows, n_cols, budget,
+                                      one_free, seed):
+        # rows of a B = 1 or B = 2 ledger with at least one free item; a
+        # share of the rows has exactly one
+        g = np.random.default_rng(seed)
+        counts = g.integers(0, budget + 1, size=(n_rows, n_cols))
+        only = g.random(n_rows) < one_free
+        counts[only] = budget
+        counts[np.arange(n_rows), g.integers(0, n_cols, size=n_rows)] = \
+            g.integers(0, budget, size=n_rows)
+        free = counts < budget
+        k = g.integers(0, free.sum(axis=1))
+        expected = (np.cumsum(free, axis=1) > k[:, None]).argmax(axis=1)
+        np.testing.assert_array_equal(_kth_free(free, k), expected)
+
+
 class TestOracleAndRandom:
     @pytest.mark.parametrize("name,seed", [("d1", 0), ("d2", 5), ("d3", 9)])
     def test_oracle_zero_regret(self, name, seed):

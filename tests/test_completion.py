@@ -73,6 +73,7 @@ class TestSolveBlock:
         res = solve_block(prob, SolverConfig(c_lambda=1e9))
         assert np.abs(res.matrix).max() == 0.0
 
+    @pytest.mark.slow
     def test_matches_subgradient_oracle_20x20(self):
         truth = incoherent_low_rank(20, 2, seed=2)
         prob = masked_problem(truth, 0.5, 0.01, seed=2)
@@ -196,6 +197,7 @@ def svd_shapes(monkeypatch):
 
 
 class TestMfista:
+    @pytest.mark.slow
     def test_converges_where_proximal_gradient_stalls(self):
         # lam near the practical variant's on paperfig d1 (about 1.41)
         prob, lam = d1_block(), 1.5

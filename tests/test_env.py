@@ -21,6 +21,8 @@ from blockedbandits.env import (
 from blockedbandits.harness import ALGORITHMS, run_algorithm
 from blockedbandits.rng import stream
 
+from conftest import sim_state
+
 
 class TestGenerator:
     def test_d1_canonical_shape(self):
@@ -305,18 +307,6 @@ class TestProtocol:
         assert sim.events[0].consumers == [1]
 
 
-def _state(sim: Simulation) -> dict:
-    """Everything a recommendation or a reuse may write, as plain values."""
-    n = sim.n_events
-    columns = (sim.event_round, sim.event_user, sim.event_item,
-               sim.event_purpose, sim.event_reward)
-    return {"n_events": n, "columns": [col[:n].tolist() for col in columns],
-            "counts": sim.ledger.counts.tolist(),
-            "top": sim.ledger.top.tolist(), "below": sim.ledger.below.tolist(),
-            "rounds_done": sim.rounds_done.tolist(),
-            "reuse_log": list(sim.reuse_log), "purposes": dict(sim.purposes)}
-
-
 def _loop_allows(sim: Simulation, pairs: list[tuple[int, int]]) -> bool:
     """Whether ``recommend`` on each pair in order would raise nothing."""
     counts = sim.ledger.counts.astype(np.int64)
@@ -358,17 +348,28 @@ class TestRecommendMany:
                 continue
             pairs = data.draw(st.lists(
                 pair, min_size=1, max_size=1 if op == "scalar" else 6))
-            purpose = data.draw(st.sampled_from(["a", "b"]))
-            consumable = data.draw(st.booleans())
+            n = len(pairs)
+            # one purpose and one flag for the batch, or one of each per pair
+            purpose = data.draw(st.sampled_from(["a", "b"]) if op == "scalar"
+                                else st.sampled_from(["a", "b"])
+                                | st.lists(st.sampled_from(["a", "b", "c"]),
+                                           min_size=n, max_size=n))
+            consumable = data.draw(st.booleans() if op == "scalar"
+                                   else st.booleans()
+                                   | st.lists(st.booleans(), min_size=n,
+                                              max_size=n))
+            purposes = [purpose] * n if isinstance(purpose, str) else purpose
+            flags = consumable if isinstance(consumable, list) \
+                else [consumable] * n
             users, items = (list(col) for col in zip(*pairs))
             if not _loop_allows(loop_sim, pairs):
-                before = _state(batch_sim)
+                before = sim_state(batch_sim)
                 with pytest.raises((BudgetError, ProtocolError)):
                     batch_sim.recommend_many(users, items, purpose, consumable)
-                assert _state(batch_sim) == before
+                assert sim_state(batch_sim) == before
                 continue
-            expected = [loop_sim.recommend(u, j, purpose, consumable)
-                        for u, j in pairs]
+            expected = [loop_sim.recommend(u, j, name, flag)
+                        for (u, j), name, flag in zip(pairs, purposes, flags)]
             if op == "scalar":
                 got = [batch_sim.recommend(users[0], items[0], purpose,
                                            consumable)]
@@ -377,8 +378,28 @@ class TestRecommendMany:
                     users, items, purpose, consumable)
                 got = list(zip(values.tolist(), event_ids.tolist()))
             assert got == expected
-            assert _state(batch_sim) == _state(loop_sim)
-        assert _state(batch_sim) == _state(loop_sim)
+            assert sim_state(batch_sim) == sim_state(loop_sim)
+        assert sim_state(batch_sim) == sim_state(loop_sim)
+
+    def test_batch_stores_only_non_consumable_entries(self):
+        # one pair twice in a batch, consumed first and stored second; the
+        # purposes get codes in the order the batch first uses them
+        inst = generate_instance(
+            GeneratorSpec(name="custom", n_users=2, n_items=3, n_clusters=1,
+                          horizon=4, budget=2), seed=0)
+        batch_sim, loop_sim = Simulation(inst, 0), Simulation(inst, 0)
+        entries = [(1, 2, "filler", False), (0, 1, "explore", True),
+                   (0, 1, "filler", False), (1, 0, "explore", True)]
+        for user, item, purpose, consumable in entries:
+            loop_sim.recommend(user, item, purpose, consumable)
+        users, items, purposes, flags = zip(*entries)
+        batch_sim.recommend_many(users, items, purposes, np.array(flags))
+        assert sim_state(batch_sim) == sim_state(loop_sim)
+        assert list(batch_sim.purposes.items()) == [("filler", 0),
+                                                    ("explore", 1)]
+        assert batch_sim.ledger.top[0, 1] == 2
+        assert batch_sim.ledger.below[2] == -1
+        assert batch_sim.ledger.count(0, 1) == 2
 
     def test_batch_past_budget_raises_and_writes_nothing(self):
         inst = generate_instance(
@@ -386,10 +407,10 @@ class TestRecommendMany:
                           horizon=4, budget=2), seed=0)
         sim = Simulation(inst, 0)
         sim.recommend(0, 1, "x")
-        before = _state(sim)
+        before = sim_state(sim)
         with pytest.raises(BudgetError, match="user 0, item 1"):
             sim.recommend_many([1, 0, 0], [2, 1, 1], "y")
-        assert _state(sim) == before
+        assert sim_state(sim) == before
         assert sim.n_events == 1
         assert sim.ledger.counts.tolist() == [[0, 1, 0], [0, 0, 0]]
         assert sim.rounds_done.tolist() == [1, 0]
@@ -400,10 +421,10 @@ class TestRecommendMany:
                           horizon=3, budget=1), seed=0)
         sim = Simulation(inst, 0)
         sim.recommend(1, 0, "x")
-        before = _state(sim)
+        before = sim_state(sim)
         with pytest.raises(ProtocolError, match="user 1"):
             sim.recommend_many([0, 1, 1, 1], [0, 1, 2, 3], "y")
-        assert _state(sim) == before
+        assert sim_state(sim) == before
         assert sim.n_events == 1
         assert sim.ledger.counts.tolist() == [[0, 0, 0, 0], [1, 0, 0, 0]]
         assert sim.rounds_done.tolist() == [0, 1]

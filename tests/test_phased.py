@@ -1,10 +1,13 @@
 import math
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockedbandits import phased
 from blockedbandits.completion import SolverConfig
 from blockedbandits.env import GeneratorSpec, Instance, NoiseModel, Simulation, generate_instance
 from blockedbandits.harness import build_trace, run_algorithm
@@ -19,7 +22,7 @@ from blockedbandits.phased import (
 )
 from blockedbandits.rng import stream
 
-from conftest import cluster_gap_instance, golden_threshold, true_partition
+from conftest import cluster_gap_instance, golden_threshold, sim_state, true_partition
 
 
 class TestSamplingProb:
@@ -270,3 +273,187 @@ class TestRunPhased:
                 # pruning only removes items within a phase
                 assert set(rec.active_after_exploit.tolist()) <= \
                     set(rec.active_before.tolist())
+
+
+# -- scalar references of the batched blocks ----------------------------------
+# The explore block, exploit step and fill as they were written before they
+# were batched: one ``recommend`` per event, each decision read from the
+# ledger just before it.
+
+
+def reference_pick_filler(sim, user, active, excluded, rng):
+    cand = sim.unblocked_in(user, active)
+    cand = cand[~excluded[cand]]
+    if cand.size:
+        return int(cand[rng.integers(cand.size)])
+    return sim.any_unblocked(user, active)
+
+
+def reference_explore(sim, users, active, t0, p, solver, rng, estimate):
+    inst = sim.instance
+    n_u, n_i = len(users), len(active)
+    picks = rng.random((n_u, n_i)) < p
+    per_user = [np.flatnonzero(picks[lu]) for lu in range(n_u)]
+    m = max((len(q) for q in per_user), default=0)
+    m = min(m, inst.horizon - t0)
+    if m == 0:
+        return None, t0
+    omega_rows, omega_cols, values, consumed_ids = [], [], [], []
+    for lu, user in enumerate(users):
+        queue = per_user[lu]
+        in_omega = np.zeros(inst.n_items, dtype=bool)
+        in_omega[active[queue]] = True
+        for lj in queue[: m]:
+            item = int(active[lj])
+            if sim.ledger.count(user, item) < sim.instance.budget:
+                obs = sim.recommend(user, item, "explore", consumable=True)
+            else:
+                obs = sim.reuse_observation(user, item) \
+                    if sim.ledger.has_reusable(user, item) else None
+                filler = reference_pick_filler(sim, user, active, in_omega, rng)
+                sim.recommend(user, filler, "filler")
+            if obs is not None:
+                omega_rows.append(lu)
+                omega_cols.append(int(lj))
+                values.append(obs[0])
+                consumed_ids.append(obs[1])
+        for _ in range(m - len(queue)):
+            filler = reference_pick_filler(sim, user, active, in_omega, rng)
+            sim.recommend(user, filler, "filler")
+    t_new = t0 + m
+    if not values:
+        return None, t_new
+    omega = np.stack([omega_rows, omega_cols], axis=1)
+    result = estimate(n_u, n_i, omega, np.asarray(values), inst.noise.scale,
+                      solver, rng)
+    sim.mark_consumed(consumed_ids)
+    return result.matrix, t_new
+
+
+def reference_exploit_step(sim, users, item, active):
+    for user in users:
+        if sim.ledger.count(user, item) < sim.instance.budget:
+            sim.recommend(user, item, "exploit")
+        else:
+            sub = sim.any_unblocked(user, active)
+            sim.recommend(user, sub, "filler")
+
+
+def reference_fill(sim, users, active, t0, rng):
+    budget = sim.instance.budget
+    picks = []
+    for user in users:
+        counts = sim.ledger.counts_row(user).copy()
+        cand = active[counts[active] < budget].tolist()
+        for _ in range(t0, sim.instance.horizon):
+            if not cand:
+                item = int(np.flatnonzero(counts < budget)[0])
+            else:
+                pos = int(rng.integers(len(cand)))
+                item = cand[pos]
+                if counts[item] + 1 >= budget:
+                    del cand[pos]
+            counts[item] += 1
+            picks.append(item)
+    sim.recommend_many(np.repeat(users, sim.instance.horizon - t0), picks,
+                       "fill")
+
+
+def capturing_estimate(calls):
+    """A stand-in for ``estimate`` that records its problem and returns a
+    zero block without drawing."""
+    def fake(n_rows, n_cols, omega, values, sigma, solver, rng):
+        calls.append((omega.tolist(), values.tolist()))
+        return SimpleNamespace(matrix=np.zeros((n_rows, n_cols)))
+    return fake
+
+
+@st.composite
+def prefilled_tasks(draw):
+    """(sim factory, users, active, t0, seed): an instance whose users all
+    have t0 rounds recorded, mostly on the active items, with mixed purposes
+    and consumable flags, so that pairs are blocked, observations stored,
+    and some users have every active item outside a sample blocked."""
+    budget = draw(st.integers(1, 3))
+    n_users = draw(st.integers(1, 5))
+    n_items = draw(st.integers(2, 8))
+    horizon = draw(st.integers(2, min(n_items * budget, 12)))
+    t0 = draw(st.integers(0, horizon - 1))
+    name = draw(st.sampled_from(["d2", "d3"]))
+    reusable = draw(st.booleans())
+    seed = draw(st.integers(0, 2 ** 16))
+    users = np.array(sorted(draw(st.sets(st.integers(0, n_users - 1),
+                                         min_size=1))))
+    active = np.array(sorted(draw(st.sets(st.integers(0, n_items - 1),
+                                          min_size=1))))
+    inst = generate_instance(GeneratorSpec(
+        name=name, n_users=n_users, n_items=n_items, n_clusters=1,
+        horizon=horizon, budget=budget), seed)
+    g = np.random.default_rng(seed)
+    prefill = []
+    counts = np.zeros((n_users, n_items), dtype=int)
+    for user in range(n_users):
+        for _ in range(t0):
+            free = np.flatnonzero(counts[user] < budget)
+            hot = np.intersect1d(free, active)
+            pool = hot if hot.size and g.random() < 0.8 else free
+            item = int(g.choice(pool))
+            counts[user, item] += 1
+            prefill.append((user, item, str(g.choice(["fill", "filler",
+                                                      "explore"])),
+                            bool(g.random() < 0.5)))
+
+    def make():
+        sim = Simulation(inst, seed, reusable_ledger=reusable)
+        for entry in prefill:
+            sim.recommend(*entry)
+        return sim
+
+    return make, users, active, t0, seed
+
+
+class TestBatchedBlocks:
+    """The batched explore block, exploit step and fill make the events,
+    ledger stacks, reuse log, consumed list, completion problem and draws
+    of the scalar references."""
+
+    @given(task=prefilled_tasks(), p=st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_explore_matches_scalar_reference(self, task, p):
+        make, users, active, t0, seed = task
+        runs = []
+        for batched in (True, False):
+            sim, rng, calls = make(), stream(seed, "d"), []
+            if batched:
+                with mock.patch.object(phased, "estimate",
+                                       capturing_estimate(calls)):
+                    block, t_new = phased._explore(
+                        sim, users, active, t0, p, SolverConfig(), rng)
+            else:
+                block, t_new = reference_explore(
+                    sim, users, active, t0, p, SolverConfig(), rng,
+                    capturing_estimate(calls))
+            runs.append((sim_state(sim), calls, block is None, t_new,
+                         rng.bit_generator.state))
+        assert runs[0] == runs[1]
+
+    @given(task=prefilled_tasks(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_exploit_step_matches_scalar_reference(self, task, data):
+        make, users, active, _, _ = task
+        item = data.draw(st.sampled_from(active.tolist()))
+        batch_sim, loop_sim = make(), make()
+        phased._exploit_step(batch_sim, users, item, active)
+        reference_exploit_step(loop_sim, users, item, active)
+        assert sim_state(batch_sim) == sim_state(loop_sim)
+
+    @given(task=prefilled_tasks())
+    @settings(max_examples=100, deadline=None)
+    def test_fill_matches_scalar_reference(self, task):
+        make, users, active, t0, seed = task
+        runs = []
+        for fill in (phased._fill_until_end, reference_fill):
+            sim, rng = make(), stream(seed, "d")
+            fill(sim, users, active, t0, rng)
+            runs.append((sim_state(sim), rng.bit_generator.state))
+        assert runs[0] == runs[1]
