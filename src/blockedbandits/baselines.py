@@ -12,7 +12,7 @@ import numpy as np
 
 from . import phased
 from .completion import SolverConfig, estimate
-from .env import ConfigurationError, Simulation, mean_reward_matrix
+from .env import Batch, ConfigurationError, Simulation, mean_reward_matrix
 
 __all__ = [
     "EtcConfig",
@@ -238,23 +238,26 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
         lam = 10.0 * sigma * math.sqrt(m_ell / inst.n_users)
         rounds = min(m_ell, horizon - t)
         for _ in range(rounds):
+            # One batch a round, recorded at its end.  The groups partition
+            # the users, so each user is queued once a round, and its ledger
+            # row holds every round it has played when it decides.
+            batch = Batch(sim)
             for g in groups:
                 for i, user in enumerate(g.users):
                     free = sim.ledger.counts_row(user)[g.active] < inst.budget
                     if g.prior is not None and free.any():
                         score = (g.reward_sum + g.prior[i]) / (g.reward_count + 1)
                         pos = int(np.argmax(np.where(free, score, -np.inf)))
-                        item, purpose = int(g.active[pos]), "exploit"
+                        event = batch.add(user, int(g.active[pos]), "exploit",
+                                          consumable=True)
+                        g.reward_sum[pos] += batch.value(event)
+                        g.reward_count[pos] += 1
                     else:
                         cand = g.active[free] if free.any() \
                             else sim.unblocked_in(user, all_items)
-                        item = int(cand[rng.integers(cand.size)])
-                        pos, purpose = None, "explore"
-                    value, _ = sim.recommend(user, item, purpose,
-                                             consumable=True)
-                    if pos is not None:
-                        g.reward_sum[pos] += value
-                        g.reward_count[pos] += 1
+                        batch.add(user, int(cand[rng.integers(cand.size)]),
+                                  "explore", consumable=True)
+            batch.flush()
         t += rounds
         if t >= horizon:
             break
@@ -263,11 +266,10 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
         n = sim.n_events
         ev_user, ev_item = sim.event_user[:n], sim.event_item[:n]
         ev_reward = sim.event_reward[:n]
-        # per-(user, item) observed reward sums and counts, for the group scores
+        # per-(user, item) observed reward sums, for the group scores; each
+        # recommendation is observed once, so the ledger counts them
         reward_sum = np.zeros((inst.n_users, inst.n_items))
         np.add.at(reward_sum, (ev_user, ev_item), ev_reward)
-        reward_count = np.zeros((inst.n_users, inst.n_items))
-        np.add.at(reward_count, (ev_user, ev_item), 1.0)
         solver = replace(cfg.solver, lam_override=lam)
         next_groups: list[_Group] = []
         for g in groups:
@@ -304,7 +306,8 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
                 sub = np.ix_(users[sel], active[keep])
                 next_groups.append(_Group(
                     users[sel], active[keep], rows_est[np.ix_(sel, keep)],
-                    reward_sum[sub].sum(axis=0), reward_count[sub].sum(axis=0)))
+                    reward_sum[sub].sum(axis=0),
+                    sim.ledger.counts[sub].sum(axis=0, dtype=np.float64)))
         groups = next_groups
         report.append(PracticalPhase(
             level=level, groups=[(g.users, g.active) for g in groups]))

@@ -303,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_diag = sub.add_parser("diag", help="incoherence/conditioning of an instance")
     p_diag.add_argument("instance", help="path to an instance JSON document")
-    common(p_diag)
     p_diag.set_defaults(func=cmd_diag)
     return parser
 

@@ -10,10 +10,11 @@ observation reuse and post-hoc audits.
 
 The event log is columnar, one preallocated array per field, and
 ``Simulation.events`` is a read-only view of it as :class:`Event` records.
-``Simulation.recommend`` records one recommendation and
-``Simulation.recommend_many`` a batch, with the same effect as the scalar
-call on each pair in order; the ledger keeps the observations stored for
-reuse as per-pair stacks of event ids in two arrays.
+``Simulation.recommend_many`` is the one writer of the log and the ledger,
+``Simulation.recommend`` a batch of one, and a :class:`Batch` queues a
+policy's decisions and gives the reward a queued one will record.  The
+ledger keeps the observations stored for reuse as per-pair stacks of event
+ids in two arrays.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ __all__ = [
     "BlockingLedger",
     "Event",
     "Simulation",
+    "Batch",
+    "lowest_unblocked",
     "instance_to_json",
     "instance_from_json",
 ]
@@ -185,9 +188,10 @@ class Instance:
     rewards: np.ndarray  # (M, N) float64 expected rewards
     noise: NoiseModel
     item_cluster_of: np.ndarray | None = None  # (N,) int, optional
-    reward_ceiling: float = field(default=0.0)
+    reward_ceiling: float = field(init=False)
     # reward_ceiling is the largest |expected observed reward|: max|P| for
-    # gaussian noise, max|2P - 1| for sign feedback.  Same units as rewards.
+    # gaussian noise, max|2P - 1| for sign feedback.  Same units as rewards;
+    # computed from them, so a replaced instance gets its own.
 
     def __post_init__(self) -> None:
         if self.rewards.shape != (self.n_users, self.n_items):
@@ -216,9 +220,8 @@ class Instance:
                 raise ConfigurationError("sign feedback needs rewards in [0, 1]")
         if set(np.unique(self.cluster_of)) != set(range(self.n_clusters)):
             raise ConfigurationError("cluster assignment must cover 0..C-1")
-        if self.reward_ceiling == 0.0:
-            ceiling = float(np.abs(mean_reward_matrix(self)).max())
-            object.__setattr__(self, "reward_ceiling", ceiling)
+        object.__setattr__(self, "reward_ceiling",
+                           float(np.abs(mean_reward_matrix(self)).max()))
 
 
 def _draw_factor(law: str, scale: float, shape: tuple[int, int],
@@ -269,7 +272,7 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     run of equal keys."""
     order = np.argsort(keys, kind="stable")
     ordered = keys[order]
-    return order, np.r_[True, ordered[1:] != ordered[:-1]]
+    return order, np.concatenate(([True], ordered[1:] != ordered[:-1]))
 
 
 class BlockingLedger:
@@ -306,25 +309,18 @@ class BlockingLedger:
     def max_pair_count(self) -> int:
         return int(self.counts.max())
 
-    def record(self, user: int, item: int, event_id: int,
-               consumable: bool) -> None:
-        if self.count(user, item) >= self.budget:
-            raise BudgetError(f"budget exhausted for user {user}, item {item}")
-        self.counts[user, item] += 1
-        if self.reusable or not consumable:
-            self.below[event_id] = self.top[user, item]
-            self.top[user, item] = event_id
-
     def record_many(self, users: np.ndarray, items: np.ndarray,
                     event_ids: np.ndarray, consumable: bool | np.ndarray,
                     ) -> None:
-        """``record`` for each pair in order, with one ``consumable`` flag
-        for the batch or one per pair; raises before any write."""
+        """Count each pair and, unless the ledger is strict and the entry
+        consumable, push its event id on the pair's stack, in order; one
+        ``consumable`` flag for the batch or one per pair.  Raises before
+        any write."""
         pairs = np.ravel_multi_index((users, items), self.counts.shape)
         stack = np.broadcast_to(
             self.reusable | ~np.asarray(consumable, dtype=bool), pairs.shape)
         order, starts = _runs(pairs)
-        ends = np.r_[starts[1:], True]
+        ends = np.append(starts[1:], True)
         last = pairs[order][ends]  # each distinct pair once
         counts = self.counts.reshape(-1)
         after = counts[last] + np.diff(np.flatnonzero(ends), prepend=-1)
@@ -338,11 +334,11 @@ class BlockingLedger:
         if not stack.all():
             pairs, event_ids = pairs[stack], event_ids[stack]
             order, starts = _runs(pairs)
-            ends = np.r_[starts[1:], True]
+            ends = np.append(starts[1:], True)
         ordered, stacked = pairs[order], event_ids[order]
         top = self.top.reshape(-1)
         self.below[stacked] = np.where(starts, top[ordered],
-                                       np.r_[-1, stacked[:-1]])
+                                       np.append(-1, stacked[:-1]))
         top[ordered[ends]] = stacked[ends]
 
     def has_reusable(self, user: int, item: int) -> bool:
@@ -370,6 +366,20 @@ class Event:
     consumers: list[int] = field(default_factory=list)  # estimate-call ids
 
 
+def lowest_unblocked(counts: np.ndarray, preferred: np.ndarray,
+                     budget: int) -> np.ndarray:
+    """On each user row of ledger ``counts`` (one row or a stack of rows):
+    the first item of ``preferred`` with budget left, else the lowest item
+    with budget left.  Feasibility (N*B >= T) leaves every user that still
+    has a round to play some item with budget left; a row without one
+    raises :class:`BudgetError`."""
+    free = counts < budget
+    if not free.any(axis=-1).all():
+        raise BudgetError("a user has no unblocked item")
+    order = np.concatenate((preferred, np.arange(free.shape[-1])))
+    return order[free[..., order].argmax(axis=-1)]
+
+
 class Simulation:
     """Mutable state of one policy run on one instance.
 
@@ -384,20 +394,20 @@ class Simulation:
     ``event_reward``.  ``consumed`` holds (event id, estimate-call id) pairs
     in call order.
 
-    ``recommend`` is the scalar path, left to the practical variant, whose
-    every pick reads the reward observed just before it.  Every other
-    policy records through ``recommend_many``: a whole batch, such as a
-    round of every user, a phased block or a user's remaining rounds, in a
-    few array operations, with one purpose and consumable flag for the
-    batch or one per pair.  It writes what the scalar calls in batch order
-    would write, down to the event ids, the purpose codes and the ledger's
-    stacks.
+    ``recommend_many`` is the one writer of the log and the ledger.  It
+    records a whole batch, such as a round of every user, a phased block or
+    a user's remaining rounds, in a few array operations, with one purpose
+    and consumable flag for the batch or one per pair, and writes what
+    recording the pairs one at a time in batch order would write, down to
+    the event ids, the purpose codes and the ledger's stacks.
+    ``recommend`` is a batch of one.  A policy whose decisions read rewards
+    that are not yet recorded queues them in a :class:`Batch`.
     """
 
     def __init__(self, inst: Instance, seed: int, reusable_ledger: bool = False):
         self.instance = inst
         self.seed = seed
-        size = inst.n_users * inst.horizon  # recommend allows no more events
+        size = inst.n_users * inst.horizon  # recommend_many allows no more events
         self.event_round = np.zeros(size, dtype=np.int64)
         self.event_user = np.zeros(size, dtype=np.int64)
         self.event_item = np.zeros(size, dtype=np.int64)
@@ -424,49 +434,37 @@ class Simulation:
         """Rounds already consumed by ``user`` (0-based next round index)."""
         return int(self.rounds_done[user])
 
-    def observe(self, user: int, item: int, round_index: int) -> float:
-        mean = self.instance.rewards[user, item]
+    def _observe(self, users, items, rounds):
+        """The rewards of ``items`` to ``users`` at the 1-based ``rounds``,
+        for scalars and arrays alike; sign feedback is +1 where the noise
+        draw falls below the mean, else -1."""
+        mean = self.instance.rewards[users, items]
+        noise = self._noise[users, rounds - 1]
         if self.instance.noise.kind == "gaussian":
-            return float(mean + self._noise[user, round_index - 1])
-        return 1.0 if self._noise[user, round_index - 1] < mean else -1.0
+            return mean + noise
+        return 2.0 * (noise < mean) - 1.0
 
     def recommend(self, user: int, item: int, purpose: str,
                   consumable: bool = False) -> tuple[float, int]:
-        """Recommend ``item`` to ``user`` at the user's next round.
-
-        ``consumable`` marks the observation as consumed-by-estimation at
-        recommendation time (the exploration path); otherwise the value is
-        stored for potential reuse.  Raises :class:`BudgetError` when the
-        pair's budget is exhausted and :class:`ProtocolError` past round T.
-        """
-        t = int(self.rounds_done[user]) + 1
-        if t > self.instance.horizon:
-            raise ProtocolError(f"user {user} already has {t - 1} rounds")
-        value = self.observe(user, item, t)
-        event_id = self.n_events
-        self.ledger.record(user, item, event_id, consumable)
-        self.event_round[event_id] = t
-        self.event_user[event_id] = user
-        self.event_item[event_id] = item
-        self.event_purpose[event_id] = self.purposes.setdefault(
-            purpose, len(self.purposes))
-        self.event_reward[event_id] = value
-        self.n_events = event_id + 1
-        self.rounds_done[user] = t
-        return value, event_id
+        """``recommend_many`` of the one pair (user, item): the observed
+        value and the event id."""
+        values, event_ids = self.recommend_many([user], [item], purpose,
+                                                consumable)
+        return float(values[0]), int(event_ids[0])
 
     def recommend_many(self, users: np.ndarray, items: np.ndarray,
                        purpose: str | Sequence[str],
                        consumable: bool | np.ndarray = False,
                        ) -> tuple[np.ndarray, np.ndarray]:
-        """``recommend`` on each (users[i], items[i]) in order, recorded at
-        once: the same events, purpose codes, ledger counts and stacks.
-        ``purpose`` and ``consumable`` are one value for the whole batch or
-        one per pair.  Returns the observed values and the event ids.
-        Checks the whole batch before any write: :class:`ProtocolError` if a
-        user would pass round T, then :class:`BudgetError` if a pair would
-        pass the budget, and a failed batch leaves the simulation as it
-        was."""
+        """Recommend items[i] to users[i] at the user's next round, for each
+        i in order.  ``purpose`` and ``consumable`` are one value for the
+        whole batch or one per pair; ``consumable`` marks the observation as
+        consumed by estimation at recommendation time (the exploration
+        path), otherwise the value is stored for potential reuse.  Returns
+        the observed values and the event ids.  Checks the whole batch
+        before any write: :class:`ProtocolError` if a user would pass round
+        T, then :class:`BudgetError` if a pair would pass the budget, and a
+        failed batch leaves the simulation as it was."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         if not users.size:
@@ -478,16 +476,12 @@ class Simulation:
         rounds = self.rounds_done[users] + repeat + 1
         if rounds.max() > self.instance.horizon:
             user = users[rounds.argmax()]
-            raise ProtocolError(f"user {user} would pass round "
-                                f"{self.instance.horizon}")
+            raise ProtocolError(
+                f"user {user} already has {self.rounds_done[user]} rounds "
+                f"and would pass round {self.instance.horizon}")
         event_ids = self.n_events + steps
         self.ledger.record_many(users, items, event_ids, consumable)
-        mean = self.instance.rewards[users, items]
-        noise = self._noise[users, rounds - 1]
-        if self.instance.noise.kind == "gaussian":
-            values = mean + noise
-        else:
-            values = np.where(noise < mean, 1.0, -1.0)
+        values = self._observe(users, items, rounds)
         batch = slice(self.n_events, self.n_events + users.size)
         self.event_round[batch] = rounds
         self.event_user[batch] = users
@@ -553,20 +547,50 @@ class Simulation:
         counts = self.ledger.counts_row(user)[items]
         return items[counts < self.instance.budget]
 
-    def any_unblocked(self, user: int, preferred: np.ndarray) -> int:
-        """Lowest-index unblocked item, preferring ``preferred``.
+    def any_unblocked(self, users: int | np.ndarray,
+                      preferred: np.ndarray) -> int | np.ndarray:
+        """:func:`lowest_unblocked` on the ledger rows of ``users``: an item
+        for one user, an array of items for an array of users."""
+        picks = lowest_unblocked(self.ledger.counts[users], preferred,
+                                 self.instance.budget)
+        return int(picks) if np.ndim(users) == 0 else picks
 
-        Falls back to the full item range; feasibility (N*B >= T) guarantees
-        some item always has remaining budget.
-        """
-        cand = self.unblocked_in(user, preferred)
-        if cand.size:
-            return int(cand[0])
-        counts = self.ledger.counts_row(user)
-        free = np.flatnonzero(counts < self.instance.budget)
-        if not free.size:
-            raise BudgetError(f"user {user} has no unblocked item")
-        return int(free[0])
+
+class Batch:
+    """Recommendations decided but not yet recorded: ``flush`` records them
+    in order with one ``Simulation.recommend_many`` call, and ``value``
+    gives the reward it will record for a queued one."""
+
+    def __init__(self, sim: Simulation):
+        self.sim = sim
+        self.users, self.items, self.purposes, self.consumable = [], [], [], []
+
+    def add(self, user: int, item: int, purpose: str,
+            consumable: bool = False) -> int:
+        """Queue one recommendation; the event id it will get."""
+        self.users.append(user)
+        self.items.append(item)
+        self.purposes.append(purpose)
+        self.consumable.append(consumable)
+        return self.sim.n_events + len(self.users) - 1
+
+    def value(self, event_id: int) -> float:
+        """The reward ``flush`` will record for the entry queued as
+        ``event_id``: the entry's round is the user's recorded rounds plus
+        the user's earlier entries in the queue."""
+        pos = event_id - self.sim.n_events
+        if pos < 0:
+            raise KeyError(f"event {event_id} is already recorded")
+        user = self.users[pos]
+        rounds = self.sim.rounds_done[user] + self.users[:pos].count(user) + 1
+        return float(self.sim._observe(user, self.items[pos], rounds))
+
+    def flush(self) -> None:
+        if self.users:
+            self.sim.recommend_many(self.users, self.items, self.purposes,
+                                    np.array(self.consumable))
+            self.users, self.items, self.purposes, self.consumable = \
+                [], [], [], []
 
 
 # -- instance (de)serialisation --------------------------------------------

@@ -13,11 +13,13 @@ and no observation is consumed by more than one estimation call.  The
 item-clustered variant (:mod:`item_phased`) runs the same task loop with a
 reusable ledger and an item-closure hook.
 
-Each block is recorded with ``Simulation.recommend_many``: the explore block
-as one batch, each exploit round as one, and the fill as one.  A user's
-decisions read a local copy of its ledger row, so the events, the reuse log
-and the draws from ``rng`` are those of recommending one pair at a time; an
-explore batch is split only where a stored observation is read.
+Each block is recorded with ``Simulation.recommend_many``: the explore
+block as one ``env.Batch``, each exploit round as one batch, and the fill
+as one.  A user's decisions read a local copy of its ledger row, so the
+events, the reuse log and the draws from ``rng`` are those of recommending
+one pair at a time; an explore batch is split only where a stored
+observation is read.  A blocked pick falls back to ``env.lowest_unblocked``,
+the simulator's one rule for it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import islice
 import numpy as np
 
 from .completion import SolverConfig, estimate
-from .env import ConfigurationError, Simulation
+from .env import Batch, ConfigurationError, Simulation, lowest_unblocked
 
 __all__ = [
     "PhasedConfig",
@@ -178,23 +180,12 @@ class _Task:
     eps: float
 
 
-def _lowest_unblocked(counts: np.ndarray, preferred: np.ndarray,
-                      budget: int) -> np.ndarray:
-    """``Simulation.any_unblocked`` on each user row of ledger ``counts``
-    (one row or a stack of rows): the first item of ``preferred`` with
-    budget left, else the lowest item with budget left."""
-    free = counts < budget
-    pref = free[..., preferred]
-    return np.where(pref.any(axis=-1), preferred[pref.argmax(axis=-1)],
-                    free.argmax(axis=-1))
-
-
 def _walk(counts: list[int], cand: list[int], budget: int, n: int,
           preferred: np.ndarray, rng: np.random.Generator) -> Iterator[int]:
     """One user's picks, made as they are asked for: each a uniform draw
     from the list ``cand``, which an item leaves when its count in the
     user's ledger row ``counts`` (a local copy) reaches ``budget``; an empty
-    list falls back to ``_lowest_unblocked`` over ``preferred``.  Each pick
+    list falls back to ``lowest_unblocked`` over ``preferred``.  Each pick
     is added to ``counts``; between picks the caller may change counts
     outside ``cand`` only.
 
@@ -221,32 +212,9 @@ def _walk(counts: list[int], cand: list[int], budget: int, n: int,
             if counts[item] + 1 >= budget:
                 del cand[pos]
         else:
-            item = int(_lowest_unblocked(np.array(counts), preferred,
-                                         budget))
+            item = int(lowest_unblocked(np.array(counts), preferred, budget))
         counts[item] += 1
         yield item
-
-
-class _Batch:
-    """Recommendations decided but not yet recorded: ``flush`` records them
-    in order with one ``Simulation.recommend_many`` call."""
-
-    def __init__(self, sim: Simulation):
-        self.sim = sim
-        self.entries: list[tuple[int, int, str, bool]] = []
-
-    def add(self, user: int, item: int, purpose: str,
-            consumable: bool = False) -> int:
-        """Queue one recommendation; the event id it will get."""
-        self.entries.append((user, item, purpose, consumable))
-        return self.sim.n_events + len(self.entries) - 1
-
-    def flush(self) -> None:
-        if self.entries:
-            users, items, purposes, consumable = zip(*self.entries)
-            self.sim.recommend_many(users, items, purposes,
-                                    np.array(consumable))
-            self.entries.clear()
 
 
 def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
@@ -271,7 +239,7 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     if m == 0:
         return None, t0
 
-    batch = _Batch(sim)
+    batch = Batch(sim)
     omega: list[tuple[int, int, int]] = []  # (local user, local item, event)
     for lu, (user, queue) in enumerate(zip(users.tolist(), queues)):
         in_omega = np.zeros(inst.n_items, dtype=bool)
@@ -366,13 +334,11 @@ def _exploit(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
 def _exploit_step(sim: Simulation, users: np.ndarray, item: int,
                   active: np.ndarray) -> None:
     """One exploit round, recorded as one batch: ``item`` to every user,
-    and to a user whose pair is blocked, ``_lowest_unblocked`` over
+    and to a user whose pair is blocked, ``Simulation.any_unblocked`` over
     ``active`` as a filler."""
-    budget = sim.instance.budget
-    counts = sim.ledger.counts
-    blocked = counts[users, item] >= budget
+    blocked = sim.ledger.counts[users, item] >= sim.instance.budget
     picks = np.full(users.size, item)
-    picks[blocked] = _lowest_unblocked(counts[users[blocked]], active, budget)
+    picks[blocked] = sim.any_unblocked(users[blocked], active)
     sim.recommend_many(users, picks,
                        np.where(blocked, "filler", "exploit").tolist())
 

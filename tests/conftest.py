@@ -7,7 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from blockedbandits.env import Instance, NoiseModel, Simulation
+from blockedbandits.env import (
+    BudgetError,
+    Instance,
+    NoiseModel,
+    ProtocolError,
+    Simulation,
+)
 
 
 def cluster_gap_instance(seed: int, n_users: int = 60, n_items: int = 60,
@@ -76,6 +82,39 @@ def sim_state(sim: Simulation) -> dict:
             "reuse_log": list(sim.reuse_log),
             "purposes": list(sim.purposes.items()),
             "consumed": list(sim.consumed)}
+
+
+def reference_recommend(sim: Simulation, user: int, item: int, purpose: str,
+                        consumable: bool = False) -> tuple[float, int]:
+    """One recommendation recorded pair by pair, as the simulator recorded
+    it before every write went through ``recommend_many``: the event
+    columns, the ledger count and the pair's stack are written directly.
+    The reference the batched writers are checked against."""
+    inst, ledger = sim.instance, sim.ledger
+    t = int(sim.rounds_done[user]) + 1
+    if t > inst.horizon:
+        raise ProtocolError(f"user {user} already has {t - 1} rounds")
+    if ledger.counts[user, item] >= inst.budget:
+        raise BudgetError(f"budget exhausted for user {user}, item {item}")
+    mean, noise = inst.rewards[user, item], sim._noise[user, t - 1]
+    if inst.noise.kind == "gaussian":
+        value = float(mean + noise)
+    else:
+        value = 1.0 if noise < mean else -1.0
+    event_id = sim.n_events
+    ledger.counts[user, item] += 1
+    if ledger.reusable or not consumable:
+        ledger.below[event_id] = ledger.top[user, item]
+        ledger.top[user, item] = event_id
+    sim.event_round[event_id] = t
+    sim.event_user[event_id] = user
+    sim.event_item[event_id] = item
+    sim.event_purpose[event_id] = sim.purposes.setdefault(
+        purpose, len(sim.purposes))
+    sim.event_reward[event_id] = value
+    sim.n_events = event_id + 1
+    sim.rounds_done[user] = t
+    return value, event_id
 
 
 @pytest.fixture

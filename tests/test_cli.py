@@ -282,15 +282,26 @@ class TestCommands:
         ["run"], ["paperfig", "d9", "1.0"], ["paperfig", "d1", "abc"],
         ["sweep", "--config", "{config}", "--threads", "two"], ["bogus"],
         ["sweep", "--config", "{config}", "--threads", "0"],
-        ["sweep", "--config", "{config}", "--threads", "-2"]],
+        ["sweep", "--config", "{config}", "--threads", "-2"],
+        ["diag", "{instance}", "--threads", "8"],
+        ["diag", "{instance}", "--seeds", "3"],
+        ["diag", "{instance}", "--out-dir", "/nonexistent/x"],
+        ["diag", "{instance}", "--quiet"]],
         ids=["run-without-config", "paperfig-unknown-dataset",
              "paperfig-scale-not-number", "threads-not-integer",
-             "unknown-subcommand", "threads-zero", "threads-negative"])
+             "unknown-subcommand", "threads-zero", "threads-negative",
+             "diag-threads", "diag-seeds", "diag-out-dir", "diag-quiet"])
     def test_usage_error_is_one_config_line(self, tmp_path, capsys, argv):
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps(SWEEP_DOC))
-        argv = [arg.format(config=config) for arg in argv]
-        assert main(argv + ["--out-dir", str(tmp_path), "--quiet"]) == 1
+        instance = tmp_path / "instance.json"
+        instance.write_text(instance_to_json(generate_instance(
+            GeneratorSpec(name="d2", n_users=4, n_items=5, n_clusters=2,
+                          horizon=3), seed=0)))
+        argv = [arg.format(config=config, instance=instance) for arg in argv]
+        if argv[0] != "diag":  # diag writes nothing and takes no options
+            argv += ["--out-dir", str(tmp_path), "--quiet"]
+        assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error kind=config msg=")

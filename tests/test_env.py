@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockedbandits.env import (
+    Batch,
     BudgetError,
     ConfigurationError,
     GeneratorSpec,
@@ -21,7 +23,7 @@ from blockedbandits.env import (
 from blockedbandits.harness import ALGORITHMS, run_algorithm
 from blockedbandits.rng import stream
 
-from conftest import sim_state
+from conftest import reference_recommend, sim_state
 
 
 class TestGenerator:
@@ -139,6 +141,28 @@ class TestGenerator:
                 block = inst.rewards[np.ix_(inst.cluster_of == a,
                                             inst.item_cluster_of == b)]
                 assert np.ptp(block) == 0.0
+
+
+class TestRewardCeiling:
+    def test_replaced_instance_gets_a_fresh_ceiling(self):
+        inst = generate_instance(GeneratorSpec(
+            name="d1", n_users=6, n_items=6, n_clusters=2, horizon=4), 0)
+        scaled = dataclasses.replace(inst, rewards=10 * inst.rewards)
+        assert scaled.reward_ceiling == float(np.abs(scaled.rewards).max())
+        assert scaled.reward_ceiling == pytest.approx(10 * inst.reward_ceiling)
+
+    def test_sign_ceiling_is_of_the_observed_mean(self):
+        rewards = np.array([[0.5, 0.6, 0.1]])
+        inst = Instance(1, 3, 2, 1, 1, np.zeros(1, dtype=int), rewards,
+                        NoiseModel("sign"))
+        assert inst.reward_ceiling == pytest.approx(0.8)
+
+    def test_ceiling_is_not_an_argument(self, tiny_gaussian_instance):
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(tiny_gaussian_instance, reward_ceiling=1.0)
+        with pytest.raises(TypeError):
+            Instance(1, 2, 2, 1, 1, np.zeros(1, dtype=int), np.ones((1, 2)),
+                     NoiseModel("gaussian", 0.1), reward_ceiling=1.0)
 
 
 class TestRewards:
@@ -308,7 +332,8 @@ class TestProtocol:
 
 
 def _loop_allows(sim: Simulation, pairs: list[tuple[int, int]]) -> bool:
-    """Whether ``recommend`` on each pair in order would raise nothing."""
+    """Whether ``reference_recommend`` on each pair in order would raise
+    nothing."""
     counts = sim.ledger.counts.astype(np.int64)
     rounds = sim.rounds_done.copy()
     for user, item in pairs:
@@ -321,8 +346,8 @@ def _loop_allows(sim: Simulation, pairs: list[tuple[int, int]]) -> bool:
 
 
 class TestRecommendMany:
-    """A batch is recorded as ``recommend`` on each pair in order would
-    record it, and a batch that would fail writes nothing."""
+    """A batch is recorded as ``reference_recommend`` on each pair in order
+    would record it, and a batch that would fail writes nothing."""
 
     @given(data=st.data(), name=st.sampled_from(["d2", "d3"]),
            budget=st.integers(1, 3), reusable=st.booleans(),
@@ -368,7 +393,7 @@ class TestRecommendMany:
                     batch_sim.recommend_many(users, items, purpose, consumable)
                 assert sim_state(batch_sim) == before
                 continue
-            expected = [loop_sim.recommend(u, j, name, flag)
+            expected = [reference_recommend(loop_sim, u, j, name, flag)
                         for (u, j), name, flag in zip(pairs, purposes, flags)]
             if op == "scalar":
                 got = [batch_sim.recommend(users[0], items[0], purpose,
@@ -390,8 +415,8 @@ class TestRecommendMany:
         batch_sim, loop_sim = Simulation(inst, 0), Simulation(inst, 0)
         entries = [(1, 2, "filler", False), (0, 1, "explore", True),
                    (0, 1, "filler", False), (1, 0, "explore", True)]
-        for user, item, purpose, consumable in entries:
-            loop_sim.recommend(user, item, purpose, consumable)
+        for entry in entries:
+            reference_recommend(loop_sim, *entry)
         users, items, purposes, flags = zip(*entries)
         batch_sim.recommend_many(users, items, purposes, np.array(flags))
         assert sim_state(batch_sim) == sim_state(loop_sim)
@@ -428,6 +453,74 @@ class TestRecommendMany:
         assert sim.n_events == 1
         assert sim.ledger.counts.tolist() == [[0, 0, 0, 0], [1, 0, 0, 0]]
         assert sim.rounds_done.tolist() == [0, 1]
+
+
+class TestBatch:
+    """A queued entry's ``value`` is the reward its flush records."""
+
+    @given(data=st.data(), name=st.sampled_from(["d2", "d3"]),
+           budget=st.integers(1, 3), seed=st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_value_is_the_recorded_reward(self, data, name, budget, seed):
+        n_users, n_items = 3, 4
+        inst = generate_instance(GeneratorSpec(
+            name=name, n_users=n_users, n_items=n_items, n_clusters=2,
+            horizon=min(6, n_items * budget), budget=budget), seed)
+        sim = Simulation(inst, seed)
+        pair = st.tuples(st.integers(0, n_users - 1),
+                         st.integers(0, n_items - 1))
+        for user, item in data.draw(st.lists(pair, max_size=6)):
+            if _loop_allows(sim, [(user, item)]):
+                reference_recommend(sim, user, item, "x")
+        pairs = []  # the drawn pairs a batch may still take, in order
+        for drawn in data.draw(st.lists(pair, min_size=1, max_size=8)):
+            if _loop_allows(sim, pairs + [drawn]):
+                pairs.append(drawn)
+        batch = Batch(sim)
+        events = [batch.add(user, item, "y") for user, item in pairs]
+        values = [batch.value(event) for event in events]
+        batch.flush()
+        assert events == list(range(sim.n_events - len(pairs), sim.n_events))
+        assert values == sim.event_reward[events].tolist()
+
+    @pytest.mark.parametrize("name", ["d2", "d3"])
+    def test_user_queued_more_than_once(self, name):
+        inst = generate_instance(GeneratorSpec(
+            name=name, n_users=3, n_items=4, n_clusters=2, horizon=6,
+            budget=2), 5)
+        sim, loop_sim = Simulation(inst, 5), Simulation(inst, 5)
+        entries = [(1, 0), (1, 2), (0, 3), (1, 2), (2, 0), (1, 1)]
+        expected = [reference_recommend(loop_sim, user, item, "y")[0]
+                    for user, item in entries]
+        sim.recommend(1, 0, "y")
+        batch = Batch(sim)
+        values = [batch.value(batch.add(user, item, "y"))
+                  for user, item in entries[1:]]
+        batch.flush()
+        assert [sim.event_reward[0]] + values == expected
+        assert sim.event_round[:6].tolist() == [1, 2, 1, 3, 1, 4]
+        assert sim_state(sim) == sim_state(loop_sim)
+        batch.add(0, 0, "y")
+        with pytest.raises(KeyError, match="already recorded"):
+            batch.value(5)
+
+
+class TestAnyUnblocked:
+    def test_preferred_then_lowest_then_budget_error(self):
+        inst = generate_instance(GeneratorSpec(
+            name="custom", n_users=3, n_items=4, n_clusters=1, horizon=4,
+            budget=1), 0)
+        sim = Simulation(inst, 0)
+        sim.recommend_many([0, 0, 1, 1, 1, 1], [2, 3, 0, 1, 2, 3], "x")
+        preferred = np.array([3, 2])
+        assert sim.any_unblocked(0, preferred) == 0
+        assert sim.any_unblocked(2, preferred) == 3
+        assert sim.any_unblocked(np.array([2, 0]), preferred).tolist() == [3, 0]
+        assert sim.any_unblocked(2, np.array([], dtype=np.int64)) == 0
+        with pytest.raises(BudgetError):
+            sim.any_unblocked(1, preferred)
+        with pytest.raises(BudgetError):
+            sim.any_unblocked(np.array([0, 1]), preferred)
 
 
 @st.composite

@@ -22,7 +22,13 @@ from blockedbandits.phased import (
 )
 from blockedbandits.rng import stream
 
-from conftest import cluster_gap_instance, golden_threshold, sim_state, true_partition
+from conftest import (
+    cluster_gap_instance,
+    golden_threshold,
+    reference_recommend,
+    sim_state,
+    true_partition,
+)
 
 
 class TestSamplingProb:
@@ -277,8 +283,16 @@ class TestRunPhased:
 
 # -- scalar references of the batched blocks ----------------------------------
 # The explore block, exploit step and fill as they were written before they
-# were batched: one ``recommend`` per event, each decision read from the
-# ledger just before it.
+# were batched: one ``reference_recommend`` per event, each decision read
+# from the ledger just before it.
+
+
+def reference_any_unblocked(sim, user, active):
+    """The first unblocked item of ``active``, else the lowest unblocked
+    item of all."""
+    free = sim.ledger.counts_row(user) < sim.instance.budget
+    preferred = active[free[active]]
+    return int(preferred[0]) if preferred.size else int(np.flatnonzero(free)[0])
 
 
 def reference_pick_filler(sim, user, active, excluded, rng):
@@ -286,7 +300,7 @@ def reference_pick_filler(sim, user, active, excluded, rng):
     cand = cand[~excluded[cand]]
     if cand.size:
         return int(cand[rng.integers(cand.size)])
-    return sim.any_unblocked(user, active)
+    return reference_any_unblocked(sim, user, active)
 
 
 def reference_explore(sim, users, active, t0, p, solver, rng, estimate):
@@ -306,12 +320,13 @@ def reference_explore(sim, users, active, t0, p, solver, rng, estimate):
         for lj in queue[: m]:
             item = int(active[lj])
             if sim.ledger.count(user, item) < sim.instance.budget:
-                obs = sim.recommend(user, item, "explore", consumable=True)
+                obs = reference_recommend(sim, user, item, "explore",
+                                          consumable=True)
             else:
                 obs = sim.reuse_observation(user, item) \
                     if sim.ledger.has_reusable(user, item) else None
                 filler = reference_pick_filler(sim, user, active, in_omega, rng)
-                sim.recommend(user, filler, "filler")
+                reference_recommend(sim, user, filler, "filler")
             if obs is not None:
                 omega_rows.append(lu)
                 omega_cols.append(int(lj))
@@ -319,7 +334,7 @@ def reference_explore(sim, users, active, t0, p, solver, rng, estimate):
                 consumed_ids.append(obs[1])
         for _ in range(m - len(queue)):
             filler = reference_pick_filler(sim, user, active, in_omega, rng)
-            sim.recommend(user, filler, "filler")
+            reference_recommend(sim, user, filler, "filler")
     t_new = t0 + m
     if not values:
         return None, t_new
@@ -333,15 +348,14 @@ def reference_explore(sim, users, active, t0, p, solver, rng, estimate):
 def reference_exploit_step(sim, users, item, active):
     for user in users:
         if sim.ledger.count(user, item) < sim.instance.budget:
-            sim.recommend(user, item, "exploit")
+            reference_recommend(sim, user, item, "exploit")
         else:
-            sub = sim.any_unblocked(user, active)
-            sim.recommend(user, sub, "filler")
+            sub = reference_any_unblocked(sim, user, active)
+            reference_recommend(sim, user, sub, "filler")
 
 
 def reference_fill(sim, users, active, t0, rng):
     budget = sim.instance.budget
-    picks = []
     for user in users:
         counts = sim.ledger.counts_row(user).copy()
         cand = active[counts[active] < budget].tolist()
@@ -354,9 +368,7 @@ def reference_fill(sim, users, active, t0, rng):
                 if counts[item] + 1 >= budget:
                     del cand[pos]
             counts[item] += 1
-            picks.append(item)
-    sim.recommend_many(np.repeat(users, sim.instance.horizon - t0), picks,
-                       "fill")
+            reference_recommend(sim, user, item, "fill")
 
 
 def capturing_estimate(calls):
@@ -406,7 +418,7 @@ def prefilled_tasks(draw):
     def make():
         sim = Simulation(inst, seed, reusable_ledger=reusable)
         for entry in prefill:
-            sim.recommend(*entry)
+            reference_recommend(sim, *entry)
         return sim
 
     return make, users, active, t0, seed
