@@ -86,8 +86,8 @@ def _commit(sim: Simulation, scores: np.ndarray, purpose: str) -> None:
     as one batch."""
     inst = sim.instance
     order = np.argsort(-scores, axis=1, kind="stable")
-    walks = [np.repeat(row, inst.budget - sim.ledger.counts_row(user)[row])
-             [:inst.horizon - sim.round_of(user)]
+    walks = [np.repeat(row, inst.budget - sim.ledger.counts[user, row])
+             [:inst.horizon - sim.rounds_done[user]]
              for user, row in enumerate(order)]
     users = np.repeat(np.arange(inst.n_users), [w.size for w in walks])
     sim.recommend_many(users, np.concatenate(walks), purpose)
@@ -244,7 +244,7 @@ def run_practical(sim: Simulation, cfg: PracticalConfig,
             batch = Batch(sim)
             for g in groups:
                 for i, user in enumerate(g.users):
-                    free = sim.ledger.counts_row(user)[g.active] < inst.budget
+                    free = sim.ledger.counts[user, g.active] < inst.budget
                     if g.prior is not None and free.any():
                         score = (g.reward_sum + g.prior[i]) / (g.reward_count + 1)
                         pos = int(np.argmax(np.where(free, score, -np.inf)))

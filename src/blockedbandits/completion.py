@@ -379,10 +379,6 @@ class Diagnostics:
     tau: float
     singular_values: np.ndarray
 
-    @property
-    def mu(self) -> float:
-        return max(self.mu_row, self.mu_col)
-
 
 def diagnostics(rewards: np.ndarray, cluster_of: np.ndarray) -> Diagnostics:
     """Incoherence, condition number and cluster balance of an instance.

@@ -12,9 +12,10 @@ The event log is columnar, one preallocated array per field, and
 ``Simulation.events`` is a read-only view of it as :class:`Event` records.
 ``Simulation.recommend_many`` is the one writer of the log and the ledger,
 ``Simulation.recommend`` a batch of one, and a :class:`Batch` queues a
-policy's decisions and gives the reward a queued one will record.  The
-ledger keeps the observations stored for reuse as per-pair stacks of event
-ids in two arrays.
+policy's decisions and gives the reward a queued one will record.  An
+observation stored for reuse is a flag on its event, ``event_stored``: a
+reuse reads the pair's newest flagged event, and a strict ledger's reuse
+clears the flag.
 """
 
 from __future__ import annotations
@@ -276,82 +277,38 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class BlockingLedger:
-    """Per-(user, item) budget counter and the reusable-observation store.
+    """Per-(user, item) budget counter.
 
     ``counts[u, j]`` counts every recommendation of the pair, whether its
     observation was fed to an estimation call at once or stored for reuse;
-    it never exceeds the budget.  Stored observations are event ids kept as
-    one stack per pair: ``top[u, j]`` is the pair's most recent stored event
-    (-1 for none) and ``below[e]`` the stored event under ``e``; values are
-    read from the event log's reward column ``event_reward``, whose length
-    bounds the event ids.  In strict mode each observation is consumed once,
-    most recent first.  ``reusable=True`` is the regime of the item-clustered
-    variant, where every observation is kept forever and may feed any number
-    of estimates.
+    it never exceeds the budget.  ``reusable`` sets how the simulation keeps
+    stored observations: strict (False), each is consumed once, most recent
+    first; ``reusable=True`` is the regime of the item-clustered variant,
+    where every observation is kept forever and may feed any number of
+    estimates.
     """
 
     def __init__(self, n_users: int, n_items: int, budget: int,
-                 event_reward: np.ndarray, reusable: bool = False):
+                 reusable: bool = False):
         self.budget = budget
         self.reusable = reusable
         self.counts = np.zeros((n_users, n_items), dtype=np.uint32)
-        self.top = np.full((n_users, n_items), -1, dtype=np.int64)
-        self.below = np.full(event_reward.size, -1, dtype=np.int64)
-        self._event_reward = event_reward
-
-    def count(self, user: int, item: int) -> int:
-        return int(self.counts[user, item])
-
-    def counts_row(self, user: int) -> np.ndarray:
-        """Read-only use: a view of the ledger's own row."""
-        return self.counts[user]
 
     def max_pair_count(self) -> int:
         return int(self.counts.max())
 
-    def record_many(self, users: np.ndarray, items: np.ndarray,
-                    event_ids: np.ndarray, consumable: bool | np.ndarray,
-                    ) -> None:
-        """Count each pair and, unless the ledger is strict and the entry
-        consumable, push its event id on the pair's stack, in order; one
-        ``consumable`` flag for the batch or one per pair.  Raises before
-        any write."""
-        pairs = np.ravel_multi_index((users, items), self.counts.shape)
-        stack = np.broadcast_to(
-            self.reusable | ~np.asarray(consumable, dtype=bool), pairs.shape)
-        order, starts = _runs(pairs)
-        ends = np.append(starts[1:], True)
-        last = pairs[order][ends]  # each distinct pair once
-        counts = self.counts.reshape(-1)
-        after = counts[last] + np.diff(np.flatnonzero(ends), prepend=-1)
+    def record_many(self, users: np.ndarray, items: np.ndarray) -> None:
+        """Count each pair.  If a pair would pass the budget, takes the
+        counts back and raises, naming the lowest-index pair of those that
+        would reach the highest count."""
+        np.add.at(self.counts, (users, items), 1)
+        after = self.counts[users, items]
         if after.max() > self.budget:
-            user, item = np.unravel_index(last[after.argmax()],
+            np.subtract.at(self.counts, (users, items), 1)
+            pairs = np.ravel_multi_index((users, items), self.counts.shape)
+            user, item = np.unravel_index(pairs[after == after.max()].min(),
                                           self.counts.shape)
             raise BudgetError(f"budget exhausted for user {user}, item {item}")
-        counts[last] = after
-        if not stack.any():
-            return
-        if not stack.all():
-            pairs, event_ids = pairs[stack], event_ids[stack]
-            order, starts = _runs(pairs)
-            ends = np.append(starts[1:], True)
-        ordered, stacked = pairs[order], event_ids[order]
-        top = self.top.reshape(-1)
-        self.below[stacked] = np.where(starts, top[ordered],
-                                       np.append(-1, stacked[:-1]))
-        top[ordered[ends]] = stacked[ends]
-
-    def has_reusable(self, user: int, item: int) -> bool:
-        return bool(self.top[user, item] >= 0)
-
-    def take_reusable(self, user: int, item: int) -> tuple[float, int]:
-        """The most recent stored observation; strict mode consumes it."""
-        event_id = int(self.top[user, item])
-        if event_id < 0:
-            raise KeyError((user, item))
-        if not self.reusable:
-            self.top[user, item] = self.below[event_id]
-        return float(self._event_reward[event_id]), event_id
 
 
 @dataclass
@@ -390,16 +347,18 @@ class Simulation:
 
     The event log is one length-M*T array per field, indexed by event id
     and filled up to ``n_events``: ``event_round`` (1-based), ``event_user``,
-    ``event_item``, ``event_purpose`` (codes into ``purposes``) and
-    ``event_reward``.  ``consumed`` holds (event id, estimate-call id) pairs
-    in call order.
+    ``event_item``, ``event_purpose`` (codes into ``purposes``),
+    ``event_reward`` and ``event_stored``, whether the observation is kept
+    for reuse: every event on a reusable ledger, else each non-consumable
+    one until ``reuse_observation`` takes it.  ``consumed`` holds
+    (event id, estimate-call id) pairs in call order.
 
     ``recommend_many`` is the one writer of the log and the ledger.  It
     records a whole batch, such as a round of every user, a phased block or
     a user's remaining rounds, in a few array operations, with one purpose
     and consumable flag for the batch or one per pair, and writes what
     recording the pairs one at a time in batch order would write, down to
-    the event ids, the purpose codes and the ledger's stacks.
+    the event ids, the purpose codes and the stored flags.
     ``recommend`` is a batch of one.  A policy whose decisions read rewards
     that are not yet recorded queues them in a :class:`Batch`.
     """
@@ -413,8 +372,9 @@ class Simulation:
         self.event_item = np.zeros(size, dtype=np.int64)
         self.event_purpose = np.zeros(size, dtype=np.uint8)
         self.event_reward = np.zeros(size)
+        self.event_stored = np.zeros(size, dtype=bool)
         self.ledger = BlockingLedger(inst.n_users, inst.n_items, inst.budget,
-                                     self.event_reward, reusable=reusable_ledger)
+                                     reusable=reusable_ledger)
         self.n_events = 0
         self.purposes: dict[str, int] = {}  # purpose -> code, first use first
         self.consumed: list[tuple[int, int]] = []  # (event_id, call_id)
@@ -429,10 +389,6 @@ class Simulation:
         self._estimate_calls = 0
 
     # -- protocol ----------------------------------------------------------
-
-    def round_of(self, user: int) -> int:
-        """Rounds already consumed by ``user`` (0-based next round index)."""
-        return int(self.rounds_done[user])
 
     def _observe(self, users, items, rounds):
         """The rewards of ``items`` to ``users`` at the 1-based ``rounds``,
@@ -480,7 +436,12 @@ class Simulation:
                 f"user {user} already has {self.rounds_done[user]} rounds "
                 f"and would pass round {self.instance.horizon}")
         event_ids = self.n_events + steps
-        self.ledger.record_many(users, items, event_ids, consumable)
+        # shaped before any write, so a flag list of the wrong length
+        # raises with the simulation unchanged
+        stored = np.broadcast_to(
+            self.ledger.reusable | ~np.asarray(consumable, dtype=bool),
+            users.shape)
+        self.ledger.record_many(users, items)
         values = self._observe(users, items, rounds)
         batch = slice(self.n_events, self.n_events + users.size)
         self.event_round[batch] = rounds
@@ -495,15 +456,32 @@ class Simulation:
             self.event_purpose[batch] = [self.purposes[name]
                                          for name in purpose]
         self.event_reward[batch] = values
+        self.event_stored[batch] = stored
         self.n_events += users.size
         self.rounds_done += np.bincount(users, minlength=self.instance.n_users)
         return values, event_ids
 
+    def _newest_stored(self, user: int, item: int) -> int:
+        """The pair's most recent stored event id, -1 for none."""
+        n = self.n_events
+        hits = np.flatnonzero(self.event_stored[:n]
+                              & (self.event_user[:n] == user)
+                              & (self.event_item[:n] == item))
+        return int(hits[-1]) if hits.size else -1
+
+    def has_stored(self, user: int, item: int) -> bool:
+        return self._newest_stored(user, item) >= 0
+
     def reuse_observation(self, user: int, item: int) -> tuple[float, int]:
-        """Pull a stored observation for (user, item) without using a round."""
-        value, event_id = self.ledger.take_reusable(user, item)
+        """Pull the pair's most recent stored observation without using a
+        round or budget; a strict ledger consumes it."""
+        event_id = self._newest_stored(user, item)
+        if event_id < 0:
+            raise KeyError((user, item))
+        if not self.ledger.reusable:
+            self.event_stored[event_id] = False
         self.reuse_log.append((int(self.rounds_done[user]), user, item, event_id))
-        return value, event_id
+        return float(self.event_reward[event_id]), event_id
 
     def mark_consumed(self, event_ids: list[int]) -> int:
         """Record a new estimate call as consuming ``event_ids``; its id."""
@@ -544,7 +522,7 @@ class Simulation:
         return out
 
     def unblocked_in(self, user: int, items: np.ndarray) -> np.ndarray:
-        counts = self.ledger.counts_row(user)[items]
+        counts = self.ledger.counts[user, items]
         return items[counts < self.instance.budget]
 
     def any_unblocked(self, users: int | np.ndarray,

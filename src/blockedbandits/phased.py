@@ -8,8 +8,9 @@ Bernoulli pattern of user-item pairs, recommends them, and runs low-rank
 completion to halve the estimate error; (3) users are re-partitioned by the
 connected components of a similarity graph on estimated rows, and each part
 keeps only items close to its users' remaining golden ranks.  Groups evolve
-asynchronously; two count matrices guarantee no pair ever exceeds budget B
-and no observation is consumed by more than one estimation call.  The
+asynchronously; one count matrix, the ledger's, guarantees no pair ever
+exceeds budget B, and ``Simulation.consumed`` records which estimation call
+consumed which observation, none of them more than one call.  The
 item-clustered variant (:mod:`item_phased`) runs the same task loop with a
 reusable ledger and an item-closure hook.
 
@@ -244,7 +245,7 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
     for lu, (user, queue) in enumerate(zip(users.tolist(), queues)):
         in_omega = np.zeros(inst.n_items, dtype=bool)
         in_omega[active[queue]] = True
-        row = sim.ledger.counts_row(user)
+        row = sim.ledger.counts[user]
         free = row[active] < budget
         head = queue[:m]
         pad = max(m - len(queue), 0)
@@ -260,11 +261,11 @@ def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,
             # a blocked pair contributes a stored observation if it has
             # one, else it is dropped from the completion problem; the batch
             # is recorded first where it could change what is read: the
-            # pair's stack (the batch holds the pair) or the user's round
-            # that the reuse log takes
-            if counts[item] > sim.ledger.count(user, item):
+            # pair's stored flags (the batch holds the pair) or the user's
+            # round that the reuse log takes
+            if counts[item] > sim.ledger.counts[user, item]:
                 batch.flush()
-            if sim.ledger.has_reusable(user, item):
+            if sim.has_stored(user, item):
                 batch.flush()
                 omega.append((lu, lj, sim.reuse_observation(user, item)[1]))
             batch.add(user, next(fillers), "filler")
@@ -351,7 +352,7 @@ def _fill_until_end(sim: Simulation, users: np.ndarray, active: np.ndarray,
     n = sim.instance.horizon - t0
     picks: list[int] = []
     for user in users.tolist():
-        row = sim.ledger.counts_row(user)
+        row = sim.ledger.counts[user]
         cand = active[row[active] < budget].tolist()
         picks.extend(islice(_walk(row.tolist(), cand, budget, n, active, rng),
                             n))

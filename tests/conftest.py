@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -74,21 +75,32 @@ def sim_state(sim: Simulation) -> dict:
     as plain values; purpose codes in the order they were assigned."""
     n = sim.n_events
     columns = (sim.event_round, sim.event_user, sim.event_item,
-               sim.event_purpose, sim.event_reward)
+               sim.event_purpose, sim.event_reward, sim.event_stored)
     return {"n_events": n, "columns": [col[:n].tolist() for col in columns],
             "counts": sim.ledger.counts.tolist(),
-            "top": sim.ledger.top.tolist(), "below": sim.ledger.below.tolist(),
             "rounds_done": sim.rounds_done.tolist(),
             "reuse_log": list(sim.reuse_log),
             "purposes": list(sim.purposes.items()),
             "consumed": list(sim.consumed)}
 
 
+# one model per simulation, dropped with it
+_STORES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def reference_store(sim: Simulation) -> dict[tuple[int, int], list[int]]:
+    """The stored observations of a simulation recorded through
+    :func:`reference_recommend`, as a model independent of its
+    ``event_stored`` column: each pair's stored event ids, oldest first."""
+    return _STORES.setdefault(sim, {})
+
+
 def reference_recommend(sim: Simulation, user: int, item: int, purpose: str,
                         consumable: bool = False) -> tuple[float, int]:
     """One recommendation recorded pair by pair, as the simulator recorded
     it before every write went through ``recommend_many``: the event
-    columns, the ledger count and the pair's stack are written directly.
+    columns and the ledger count are written directly, and a stored
+    observation is pushed on the pair's list in :func:`reference_store`.
     The reference the batched writers are checked against."""
     inst, ledger = sim.instance, sim.ledger
     t = int(sim.rounds_done[user]) + 1
@@ -103,9 +115,10 @@ def reference_recommend(sim: Simulation, user: int, item: int, purpose: str,
         value = 1.0 if noise < mean else -1.0
     event_id = sim.n_events
     ledger.counts[user, item] += 1
-    if ledger.reusable or not consumable:
-        ledger.below[event_id] = ledger.top[user, item]
-        ledger.top[user, item] = event_id
+    stored = ledger.reusable or not consumable
+    if stored:
+        reference_store(sim).setdefault((user, item), []).append(event_id)
+    sim.event_stored[event_id] = stored
     sim.event_round[event_id] = t
     sim.event_user[event_id] = user
     sim.event_item[event_id] = item
@@ -115,6 +128,23 @@ def reference_recommend(sim: Simulation, user: int, item: int, purpose: str,
     sim.n_events = event_id + 1
     sim.rounds_done[user] = t
     return value, event_id
+
+
+def reference_reuse(sim: Simulation, user: int, item: int,
+                    ) -> tuple[float, int] | None:
+    """``reuse_observation`` read from :func:`reference_store`: the pair's
+    newest stored event, popped on a strict ledger and left in place on a
+    reusable one, or None when the pair has none."""
+    stored = reference_store(sim).get((user, item))
+    if not stored:
+        return None
+    if sim.ledger.reusable:
+        event_id = stored[-1]
+    else:
+        event_id = stored.pop()
+        sim.event_stored[event_id] = False
+    sim.reuse_log.append((int(sim.rounds_done[user]), user, item, event_id))
+    return float(sim.event_reward[event_id]), event_id
 
 
 @pytest.fixture

@@ -126,7 +126,8 @@ class TestPractical:
                 assert e.item in active_of[e.user]
                 exploit_value.append(inst.rewards[e.user, e.item])
         assert len(exploit_value) == 20 * (18 - first_len)
-        assert (sim.ledger.top == -1).all()  # every pick is consumable
+        # every pick is consumable, so no pair has a stored observation
+        assert not any(sim.has_stored(e.user, e.item) for e in sim.events)
         assert sim.finished()
         assert sim.ledger.max_pair_count() <= 2
         assert np.mean(exploit_value) > np.mean(explore_value)

@@ -23,7 +23,7 @@ from blockedbandits.env import (
 from blockedbandits.harness import ALGORITHMS, run_algorithm
 from blockedbandits.rng import stream
 
-from conftest import reference_recommend, sim_state
+from conftest import reference_recommend, reference_reuse, sim_state
 
 
 class TestGenerator:
@@ -242,26 +242,32 @@ class TestLedger:
             GeneratorSpec(name="custom", n_users=2, n_items=4, n_clusters=1,
                           horizon=8, budget=2), seed=0)
         sim = Simulation(inst, 0)
-        before = sim.ledger.count(1, 2)
+        before = sim.ledger.counts[1, 2]
         sim.recommend(1, 2, "x", consumable=True)
-        assert sim.ledger.count(1, 2) == before + 1
+        assert sim.ledger.counts[1, 2] == before + 1
         sim.recommend(1, 2, "y", consumable=False)
-        assert sim.ledger.count(1, 2) == before + 2
+        assert sim.ledger.counts[1, 2] == before + 2
 
     def test_reuse_moves_stored_to_consumed(self):
+        # two stored observations of a pair around a consumed one: a strict
+        # ledger returns each stored one once, newest first, and never the
+        # consumed one
         inst = generate_instance(
             GeneratorSpec(name="custom", n_users=1, n_items=4, n_clusters=1,
-                          horizon=8, budget=2), seed=0)
+                          horizon=8, budget=3), seed=0)
         sim = Simulation(inst, 0)
-        value, event_id = sim.recommend(0, 1, "filler", consumable=False)
-        # one stored observation: the pair's stack holds this event alone
-        assert sim.ledger.top[0, 1] == event_id
-        assert sim.ledger.below[event_id] == -1
-        assert sim.ledger.has_reusable(0, 1)
-        got = sim.reuse_observation(0, 1)
-        assert got == (value, event_id)
-        assert sim.ledger.count(0, 1) == 1  # reuse uses no budget
-        assert not sim.ledger.has_reusable(0, 1)
+        first = sim.recommend(0, 1, "filler", consumable=False)
+        sim.recommend(0, 1, "explore", consumable=True)
+        second = sim.recommend(0, 1, "filler", consumable=False)
+        assert sim.has_stored(0, 1)
+        assert sim.reuse_observation(0, 1) == second
+        assert sim.reuse_observation(0, 1) == first
+        assert not sim.has_stored(0, 1)
+        with pytest.raises(KeyError):
+            sim.reuse_observation(0, 1)
+        assert sim.ledger.counts[0, 1] == 3  # reuse uses no budget
+        assert sim.rounds_done.tolist() == [3]  # nor a round
+        assert sim.reuse_log == [(3, 0, 1, second[1]), (3, 0, 1, first[1])]
 
     @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)),
                     max_size=40))
@@ -367,9 +373,11 @@ class TestRecommendMany:
             op = data.draw(st.sampled_from(["batch", "scalar", "reuse"]))
             if op == "reuse":
                 user, item = data.draw(pair)
-                if loop_sim.ledger.has_reusable(user, item):
-                    assert batch_sim.reuse_observation(user, item) == \
-                        loop_sim.reuse_observation(user, item)
+                expected = reference_reuse(loop_sim, user, item)
+                if expected is None:
+                    assert not batch_sim.has_stored(user, item)
+                else:
+                    assert batch_sim.reuse_observation(user, item) == expected
                 continue
             pairs = data.draw(st.lists(
                 pair, min_size=1, max_size=1 if op == "scalar" else 6))
@@ -422,9 +430,12 @@ class TestRecommendMany:
         assert sim_state(batch_sim) == sim_state(loop_sim)
         assert list(batch_sim.purposes.items()) == [("filler", 0),
                                                     ("explore", 1)]
-        assert batch_sim.ledger.top[0, 1] == 2
-        assert batch_sim.ledger.below[2] == -1
-        assert batch_sim.ledger.count(0, 1) == 2
+        assert batch_sim.ledger.counts[0, 1] == 2
+        # the pair's stored entry is event 2, never the consumed event 1
+        assert batch_sim.reuse_observation(0, 1)[1] == 2
+        assert not batch_sim.has_stored(0, 1)
+        assert batch_sim.reuse_observation(1, 2)[1] == 0
+        assert not batch_sim.has_stored(1, 0)
 
     def test_batch_past_budget_raises_and_writes_nothing(self):
         inst = generate_instance(
@@ -453,6 +464,16 @@ class TestRecommendMany:
         assert sim.n_events == 1
         assert sim.ledger.counts.tolist() == [[0, 0, 0, 0], [1, 0, 0, 0]]
         assert sim.rounds_done.tolist() == [0, 1]
+
+    def test_flags_of_wrong_length_raise_and_write_nothing(self):
+        inst = generate_instance(
+            GeneratorSpec(name="custom", n_users=2, n_items=4, n_clusters=1,
+                          horizon=3, budget=1), seed=0)
+        sim = Simulation(inst, 0)
+        before = sim_state(sim)
+        with pytest.raises(ValueError):
+            sim.recommend_many([0, 1], [0, 1], "y", [True, False, True])
+        assert sim_state(sim) == before
 
 
 class TestBatch:

@@ -17,6 +17,13 @@ fill, collaborative greedy and the commit walk (ETC at a rate that commits,
 and the oracle) recommend pairs twice; they were taken before those policies
 recorded their recommendations in batches.
 
+Only the items4 case reads stored observations: item-phased on a reusable
+ledger takes 299 of them.  No case reads one on a strict ledger, so a strict
+reuse (each stored observation returned once, newest first) is proved by
+the hypothesis tests of ``tests/test_env.py`` and ``tests/test_phased.py``
+against the independent store model in ``tests/conftest.py``, not by a
+digest.
+
 The d1-etc digest was re-taken when the completion solver became MFISTA:
 its one 40x40 block used to stop after 1279 proximal-gradient steps, and
 MFISTA converges in 190 to an objective 2.5e-6 (relative) lower, which

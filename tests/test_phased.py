@@ -26,6 +26,7 @@ from conftest import (
     cluster_gap_instance,
     golden_threshold,
     reference_recommend,
+    reference_reuse,
     sim_state,
     true_partition,
 )
@@ -290,7 +291,7 @@ class TestRunPhased:
 def reference_any_unblocked(sim, user, active):
     """The first unblocked item of ``active``, else the lowest unblocked
     item of all."""
-    free = sim.ledger.counts_row(user) < sim.instance.budget
+    free = sim.ledger.counts[user] < sim.instance.budget
     preferred = active[free[active]]
     return int(preferred[0]) if preferred.size else int(np.flatnonzero(free)[0])
 
@@ -319,12 +320,11 @@ def reference_explore(sim, users, active, t0, p, solver, rng, estimate):
         in_omega[active[queue]] = True
         for lj in queue[: m]:
             item = int(active[lj])
-            if sim.ledger.count(user, item) < sim.instance.budget:
+            if sim.ledger.counts[user, item] < sim.instance.budget:
                 obs = reference_recommend(sim, user, item, "explore",
                                           consumable=True)
             else:
-                obs = sim.reuse_observation(user, item) \
-                    if sim.ledger.has_reusable(user, item) else None
+                obs = reference_reuse(sim, user, item)
                 filler = reference_pick_filler(sim, user, active, in_omega, rng)
                 reference_recommend(sim, user, filler, "filler")
             if obs is not None:
@@ -347,7 +347,7 @@ def reference_explore(sim, users, active, t0, p, solver, rng, estimate):
 
 def reference_exploit_step(sim, users, item, active):
     for user in users:
-        if sim.ledger.count(user, item) < sim.instance.budget:
+        if sim.ledger.counts[user, item] < sim.instance.budget:
             reference_recommend(sim, user, item, "exploit")
         else:
             sub = reference_any_unblocked(sim, user, active)
@@ -357,7 +357,7 @@ def reference_exploit_step(sim, users, item, active):
 def reference_fill(sim, users, active, t0, rng):
     budget = sim.instance.budget
     for user in users:
-        counts = sim.ledger.counts_row(user).copy()
+        counts = sim.ledger.counts[user].copy()
         cand = active[counts[active] < budget].tolist()
         for _ in range(t0, sim.instance.horizon):
             if not cand:
@@ -426,7 +426,7 @@ def prefilled_tasks(draw):
 
 class TestBatchedBlocks:
     """The batched explore block, exploit step and fill make the events,
-    ledger stacks, reuse log, consumed list, completion problem and draws
+    stored flags, reuse log, consumed list, completion problem and draws
     of the scalar references."""
 
     @given(task=prefilled_tasks(), p=st.sampled_from([0.2, 0.5, 0.8, 1.0]))
