@@ -436,11 +436,14 @@ class Simulation:
                 f"user {user} already has {self.rounds_done[user]} rounds "
                 f"and would pass round {self.instance.horizon}")
         event_ids = self.n_events + steps
-        # shaped before any write, so a flag list of the wrong length
-        # raises with the simulation unchanged
+        # shaped before any write, so a flag or purpose list of the wrong
+        # length raises with the simulation unchanged
         stored = np.broadcast_to(
             self.ledger.reusable | ~np.asarray(consumable, dtype=bool),
             users.shape)
+        if not isinstance(purpose, str) and len(purpose) not in (1, users.size):
+            raise ValueError(f"{len(purpose)} purposes for a batch of "
+                             f"{users.size} recommendations")
         self.ledger.record_many(users, items)
         values = self._observe(users, items, rounds)
         batch = slice(self.n_events, self.n_events + users.size)

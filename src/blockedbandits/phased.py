@@ -21,6 +21,11 @@ events, the reuse log and the draws from ``rng`` are those of recommending
 one pair at a time; an explore batch is split only where a stored
 observation is read.  A blocked pick falls back to ``env.lowest_unblocked``,
 the simulator's one rule for it.
+
+Costs: ``similarity_components`` on g rows of n columns takes O(g^2 n)
+time and O(g^2) memory, as it builds the graph one column at a time; a
+user's candidate walk (``_walk``) makes one numpy draw call per chunk of
+picks, not one per pick, and rewinds the generator where a chunk is cut.
 """
 
 from __future__ import annotations
@@ -151,12 +156,15 @@ def similarity_components(est_rows: np.ndarray, threshold: float) -> list[np.nda
     """Partition row indices into components of the agreement graph.
 
     Two rows are adjacent when they differ by at most ``threshold`` on every
-    column.  Returns local index arrays, each ascending, ordered by their
-    smallest member.
+    column.  The g x g adjacency is built one column at a time, so a call
+    needs O(g^2) memory for g rows, not the g x g x n of comparing every
+    column at once; a NaN difference on any column is no edge.  Returns
+    local index arrays, each ascending, ordered by their smallest member.
     """
     g = est_rows.shape[0]
-    diff = np.abs(est_rows[:, None, :] - est_rows[None, :, :]).max(axis=2)
-    adj = diff <= threshold
+    adj = np.ones((g, g), dtype=bool)
+    for col in est_rows.T:
+        adj &= np.abs(col[:, None] - col) <= threshold
     # Min-label propagation with pointer jumping: every label stays a member
     # of its row's component and never rises, so the fixed point gives each
     # row the smallest member of its component.
@@ -188,27 +196,14 @@ def _walk(counts: list[int], cand: list[int], budget: int, n: int,
     user's ledger row ``counts`` (a local copy) reaches ``budget``; an empty
     list falls back to ``lowest_unblocked`` over ``preferred``.  Each pick
     is added to ``counts``; between picks the caller may change counts
-    outside ``cand`` only.
-
-    The caller takes at least ``n`` picks.  When every candidate has one
-    pick left, each draw removes its item, so the bounds of the first
-    min(n, len(cand)) draws are known ahead (len(cand), len(cand) - 1, ...)
-    and they are made in one array-bounded call, which gives the same values
-    and generator state as one call per pick; later draws are made one at a
-    time.
+    outside ``cand`` only.  The caller takes at least ``n`` picks, and the
+    draws (``_draws``) are those of one ``rng.integers(len(cand))`` call
+    per pick, generator state included.
     """
-    draws = iter(())
-    n_ahead = min(n, len(cand))
-    # candidates are below the budget, so the least count is budget - 1
-    # only if every count is
-    if n_ahead and min([counts[item] for item in cand]) == budget - 1:
-        bounds = np.arange(len(cand), len(cand) - n_ahead, -1)
-        draws = iter(rng.integers(0, bounds).tolist())
+    draws = _draws(counts, cand, budget, n, rng)
     while True:
         if cand:
-            pos = next(draws, None)
-            if pos is None:
-                pos = int(rng.integers(len(cand)))
+            pos = next(draws)
             item = cand[pos]
             if counts[item] + 1 >= budget:
                 del cand[pos]
@@ -216,6 +211,59 @@ def _walk(counts: list[int], cand: list[int], budget: int, n: int,
             item = int(lowest_unblocked(np.array(counts), preferred, budget))
         counts[item] += 1
         yield item
+
+
+# Below this many picks to the first one that empties an item, a chunk's
+# saved and restored generator state and second call cost more than the
+# one call per pick they replace.
+MIN_RUN = 8
+
+
+def _draws(counts: list[int], cand: list[int], budget: int, n: int,
+           rng: np.random.Generator) -> Iterator[int]:
+    """The positions ``_walk`` picks from ``cand``, read as it applies each
+    pick, each the value one ``rng.integers(len(cand))`` call gives there,
+    and the generator left as those calls leave it.  The ``n`` owed draws
+    are made in chunks:
+
+    - where every candidate has one pick left, each pick removes its item,
+      so the bounds of the next min(n, len(cand)) draws are known ahead
+      (len(cand), len(cand) - 1, ...) and one array-bounded call makes
+      them;
+    - otherwise the owed draws are made at the current bound in one call,
+      and the chunk ends at the first pick that takes an item to
+      ``budget``, after which the bound falls: if that pick is not the last
+      draw, the generator's state is restored and only the kept prefix is
+      drawn again.
+
+    This rests on numpy giving the same values and state for one call of
+    several draws as for one call per draw, and on ``bit_generator.state``
+    round-tripping.  Once a chunk ends within ``MIN_RUN`` draws, and after
+    the n-th pick, the draws are made one call each.
+    """
+    owed = n
+    while owed > 0:
+        size = len(cand)
+        left = [budget - counts[item] for item in cand]
+        if max(left) == 1:
+            chunk = rng.integers(0, np.arange(size, size - min(owed, size), -1)
+                                 ).tolist()
+        else:
+            state = rng.bit_generator.state
+            chunk = rng.integers(size, size=owed).tolist()
+            for i, pos in enumerate(chunk):
+                left[pos] -= 1
+                if not left[pos]:
+                    if i + 1 < owed:
+                        rng.bit_generator.state = state
+                        chunk = rng.integers(size, size=i + 1).tolist()
+                    break
+        yield from chunk
+        owed -= len(chunk)
+        if len(chunk) < MIN_RUN:
+            break
+    while True:
+        yield int(rng.integers(len(cand)))
 
 
 def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,

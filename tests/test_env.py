@@ -475,6 +475,16 @@ class TestRecommendMany:
             sim.recommend_many([0, 1], [0, 1], "y", [True, False, True])
         assert sim_state(sim) == before
 
+    def test_purposes_of_wrong_length_raise_and_write_nothing(self):
+        inst = generate_instance(
+            GeneratorSpec(name="custom", n_users=2, n_items=3, n_clusters=1,
+                          horizon=3, budget=1), seed=0)
+        sim = Simulation(inst, 0)
+        before = sim_state(sim)
+        with pytest.raises(ValueError):
+            sim.recommend_many([0, 1], [0, 1], ["a", "b", "c"])
+        assert sim_state(sim) == before
+
 
 class TestBatch:
     """A queued entry's ``value`` is the reward its flush records."""

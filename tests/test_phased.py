@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -110,6 +111,13 @@ def agreement_cases(draw):
     return rows, threshold
 
 
+# an estimate block of 3 users over 40 items in four shuffled levels; the
+# item graph is built on its transpose
+_g = np.random.default_rng(9)
+ITEM_BLOCK = (np.repeat(np.arange(4.0), 10)[_g.permutation(40)]
+              + _g.uniform(-0.3, 0.3, (3, 40)))
+
+
 class TestSimilarityGraph:
     def test_large_threshold_single_component(self):
         rows = np.random.default_rng(0).normal(size=(8, 5))
@@ -138,12 +146,25 @@ class TestSimilarityGraph:
     @given(case=agreement_cases())
     @example(case=(np.array([[0.3, -1.0]]), 0.0))
     @example(case=(np.array([[2.0], [0.0], [1.0]]), 1.0))
+    @example(case=(np.array([[0.0, 1.0], [0.5, 1.25], [1.0, 0.75]]), 0.5))
+    @example(case=(ITEM_BLOCK.T, 0.5))
     @settings(max_examples=300, deadline=None)
     def test_matches_union_find(self, case):
         rows, threshold = case
         got = similarity_components(rows, threshold)
         assert [c.tolist() for c in got] == union_find_components(rows,
                                                                   threshold)
+
+    def test_memory_is_quadratic_in_rows(self):
+        # a 300 x 300 call; comparing every column at once took 432 MB
+        rows = np.random.default_rng(3).normal(size=(300, 300))
+        tracemalloc.start()
+        try:
+            similarity_components(rows, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestRunPhased:
@@ -371,6 +392,50 @@ def reference_fill(sim, users, active, t0, rng):
             reference_recommend(sim, user, item, "fill")
 
 
+def reference_walk(counts, cand, budget, preferred, rng):
+    """A user's picks with one ``rng.integers`` call per pick."""
+    while True:
+        if cand:
+            pos = int(rng.integers(len(cand)))
+            item = cand[pos]
+            if counts[item] + 1 >= budget:
+                del cand[pos]
+        else:
+            free = [j for j in preferred.tolist() + list(range(len(counts)))
+                    if counts[j] < budget]
+            item = free[0]
+        counts[item] += 1
+        yield item
+
+
+@st.composite
+def walk_cases(draw):
+    """(counts, cand, budget, n, preferred, take, nudges, seed, warm): a
+    ledger row with mixed counts, candidates below the budget in any order,
+    a caller that takes ``take >= n`` picks and, after the picks named in
+    ``nudges``, adds one to the count of an item outside ``cand``, and a
+    generator started ``warm`` scalar draws in."""
+    budget = draw(st.integers(1, 7))
+    n_items = draw(st.integers(1, 10))
+    counts = draw(st.lists(st.integers(0, budget), min_size=n_items,
+                           max_size=n_items))
+    free = [j for j in range(n_items) if counts[j] < budget]
+    cand = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    preferred = draw(st.permutations(range(n_items)))
+    preferred = preferred[:draw(st.integers(0, n_items))]
+    capacity = sum(budget - c for c in counts)
+    take = draw(st.integers(0, capacity))
+    n = draw(st.integers(0, take))
+    others = [j for j in free if j not in cand]
+    nudges = {}
+    if others and take:
+        for _ in range(draw(st.integers(0, capacity - take))):
+            nudges[draw(st.integers(0, take - 1))] = draw(
+                st.sampled_from(others))
+    return (counts, cand, budget, n, preferred, take, nudges,
+            draw(st.integers(0, 2 ** 16)), draw(st.integers(0, 3)))
+
+
 def capturing_estimate(calls):
     """A stand-in for ``estimate`` that records its problem and returns a
     zero block without drawing."""
@@ -386,10 +451,10 @@ def prefilled_tasks(draw):
     have t0 rounds recorded, mostly on the active items, with mixed purposes
     and consumable flags, so that pairs are blocked, observations stored,
     and some users have every active item outside a sample blocked."""
-    budget = draw(st.integers(1, 3))
+    budget = draw(st.integers(1, 7))
     n_users = draw(st.integers(1, 5))
     n_items = draw(st.integers(2, 8))
-    horizon = draw(st.integers(2, min(n_items * budget, 12)))
+    horizon = draw(st.integers(2, min(n_items * budget, 30)))
     t0 = draw(st.integers(0, horizon - 1))
     name = draw(st.sampled_from(["d2", "d3"]))
     reusable = draw(st.booleans())
@@ -422,6 +487,43 @@ def prefilled_tasks(draw):
         return sim
 
     return make, users, active, t0, seed
+
+
+class TestWalk:
+    """``_walk`` makes the picks, counts and generator state of one
+    ``rng.integers`` call per pick, whatever chunks it draws in."""
+
+    @given(case=walk_cases())
+    # mixed start counts, one a pick from the budget: a chunk is cut
+    @example(case=([6, 0, 2, 3, 5, 1, 4, 0, 2, 3], list(range(10)), 7, 30,
+                   (5, 1), 30, {}, 1, 0))
+    # more picks owed than candidates, then the fallback over preferred
+    @example(case=([0, 1, 1, 0], [2, 1], 2, 6, (3, 0), 6, {}, 2, 1))
+    # a caller that changes counts outside the candidates between picks
+    @example(case=([0, 0, 2, 0, 1], [0, 4], 3, 4, (1, 3, 2), 9,
+                   {0: 1, 2: 3, 4: 1}, 3, 0))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_one_draw_per_pick(self, case):
+        counts, cand, budget, n, preferred, take, nudges, seed, warm = case
+        preferred = np.array(preferred, dtype=np.int64)
+
+        def run(walk):
+            row, rng = list(counts), np.random.default_rng(seed)
+            for _ in range(warm):
+                rng.integers(2 ** 31)  # leaves half a 64-bit word buffered
+            picks_of = walk(row, list(cand), rng)
+            picks = []
+            for step in range(take):
+                picks.append(next(picks_of))
+                item = nudges.get(step)
+                if item is not None and row[item] < budget:
+                    row[item] += 1
+            return picks, row, rng.bit_generator.state
+
+        assert run(lambda row, cand, rng: phased._walk(
+            row, cand, budget, n, preferred, rng)) == run(
+            lambda row, cand, rng: reference_walk(row, cand, budget,
+                                                  preferred, rng))
 
 
 class TestBatchedBlocks:
