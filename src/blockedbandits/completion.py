@@ -7,14 +7,15 @@ lam = c_lambda * sigma * sqrt(|Omega| / max(nrows, ncols)) unless overridden.
 axis into near-square blocks, solving each independently, and reassembling.
 
 Each soft-thresholding step (`_svt`) takes one of two paths, each with one
-``np.linalg.svd`` call.  The subspace path follows Soft-Impute (Mazumder,
-Hastie & Tibshirani 2010) and the randomized range finder (Halko, Martinsson
-& Tropp 2011): the previous step's leading right singular vectors plus
-``_OVERSAMPLE`` spare directions go through one power step and a QR, and the
-small projected factor is decomposed.  It is taken only when a certificate
-shows that the residual outside the subspace has spectral norm below the
-threshold, so that no singular value it leaves out would survive; otherwise
-the step takes the full SVD.
+decomposition: ``np.linalg.eigh`` of a Gram matrix, whose eigenvalues are
+the squared singular values.  The subspace path follows Soft-Impute
+(Mazumder, Hastie & Tibshirani 2010) and the randomized range finder (Halko,
+Martinsson & Tropp 2011): the previous step's leading right singular vectors
+plus ``_OVERSAMPLE`` spare directions go through one power step and a QR,
+and the small projected factor is decomposed.  It is taken only when a
+certificate shows that the residual outside the subspace has spectral norm
+below the threshold, so that no singular value it leaves out would survive;
+otherwise the step decomposes the full-side Gram matrix.
 """
 
 from __future__ import annotations
@@ -82,13 +83,13 @@ class SolveResult:
     objectives: list[float]
     converged: bool
     lam: float
-    iterations: int  # SVT steps (one SVD each), the warm-up stages included
+    iterations: int  # SVT steps (one decomposition each), warm-ups included
 
 
 class _WarmStart:
     """One block's warm start for `_svt`: the last step's leading right
     singular vectors (rows of ``vt``), or None when the next step takes the
-    full SVD, and whether the last step took the full SVD (``exact``).
+    full-side decomposition, and whether the last step took it (``exact``).
 
     The basis holds the surviving rank plus up to ``_OVERSAMPLE`` spare
     directions.  It is kept while the surviving rank is at most a quarter
@@ -127,13 +128,13 @@ def _svt(y: np.ndarray, threshold: float,
          warm: _WarmStart) -> tuple[np.ndarray, np.ndarray]:
     """Singular-value soft-thresholding; returns (matrix, thresholded svals).
 
-    Makes exactly one ``np.linalg.svd`` call.  With a ``warm`` basis the
-    step first projects ``y`` on the range ``q`` of one power step from it
-    and checks the certificate (`_below`) that the residual's spectral norm
-    is below ``threshold``, so that no singular value outside ``q``
-    survives; then the SVD of the small factor ``q^T y`` gives the step.
-    Otherwise it takes the full SVD of ``y``.  ``warm`` is updated for the
-    next step of the same block.
+    Makes exactly one decomposition (`_gram_svt`).  With a ``warm`` basis
+    the step first projects ``y`` on the range ``q`` of one power step from
+    it and checks the certificate (`_below`) that the residual's spectral
+    norm is below ``threshold``, so that no singular value outside ``q``
+    survives; then the small factor ``q^T y`` is thresholded.  Otherwise
+    ``y`` itself is (the full-side decomposition).  ``warm`` is updated for
+    the next step of the same block.
     """
     attempted = warm.vt is not None and threshold > 0.0
     if attempted:
@@ -141,16 +142,41 @@ def _svt(y: np.ndarray, threshold: float,
         q, _ = np.linalg.qr(y @ (y.T @ (y @ warm.vt.T)))
         b = q.T @ y
         if _below(y - q @ b, threshold):
-            v, s, ut = np.linalg.svd(b.T, full_matrices=False)
-            s = np.maximum(s - threshold, 0.0)
-            k = int(np.count_nonzero(s))
-            warm.update(v.T, k, exact=False, missed=False)
-            return q @ ((ut.T[:, :k] * s[:k]) @ v.T[:k]), s
-    u, s, vt = np.linalg.svd(y, full_matrices=False)
-    s = np.maximum(s - threshold, 0.0)
-    keep = s > 0
-    warm.update(vt, int(keep.sum()), exact=True, missed=attempted)
-    return (u[:, keep] * s[keep]) @ vt[keep], s
+            out, s, vt = _gram_svt(b, threshold)
+            warm.update(vt, int(np.count_nonzero(s)), exact=False,
+                        missed=False)
+            return q @ out, s
+    out, s, vt = _gram_svt(y, threshold)
+    warm.update(vt, int(np.count_nonzero(s)), exact=True, missed=attempted)
+    return out, s
+
+
+def _gram_svt(a: np.ndarray, threshold: float
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Soft-thresholding of ``a`` from one ``eigh`` of its smaller-side Gram
+    matrix; returns (matrix, thresholded svals, leading right singular
+    vectors as rows).
+
+    The singular values are the square roots of the Gram eigenvalues
+    (negative rounding clipped to 0), descending.  On the wide side the
+    step is ``U diag((s - t)+ / s) U^T a`` and the right vectors
+    ``S^-1 U^T a`` are formed only for the surviving rank plus
+    ``_OVERSAMPLE`` and only where ``s > 0``; on the tall side the step is
+    ``a V diag((s - t)+ / s) V^T`` and the vectors are ``V^T``'s rows.
+    """
+    wide = a.shape[0] <= a.shape[1]
+    lam, u = np.linalg.eigh(a @ a.T if wide else a.T @ a)
+    s = np.sqrt(np.maximum(lam[::-1], 0.0))
+    u = u[:, ::-1]
+    shrunk = np.maximum(s - threshold, 0.0)
+    k = int(np.count_nonzero(shrunk))
+    scale = shrunk[:k] / s[:k]
+    if wide:
+        width = min(k + _OVERSAMPLE, int(np.count_nonzero(s)))
+        uta = u[:, :width].T @ a
+        return (u[:, :k] * scale) @ uta[:k], shrunk, uta / s[:width, None]
+    vt = u[:, :k + _OVERSAMPLE].T
+    return ((a @ vt[:k].T) * scale) @ vt[:k], shrunk, vt
 
 
 def _below(resid: np.ndarray, threshold: float) -> bool:
@@ -203,11 +229,12 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
     iteration takes one proximal (singular-value soft-thresholding) step from
     a momentum point and keeps it only if the objective does not rise, so
     ``objectives`` is non-increasing: the starting value, then one entry per
-    iteration (one SVD each).  The step is 1 / (largest observation count of a pair), the
-    inverse Lipschitz constant of the count-weighted quadratic.  Momentum
-    restarts when a step opposes it (O'Donoghue & Candes 2015) or changes the
-    objective by at most ``cfg.tol`` (relative).  The solve converges only on
-    a plain proximal step from the current iterate, taken with the full SVD,
+    iteration (one decomposition each).  The step is 1 / (largest
+    observation count of a pair), the inverse Lipschitz constant of the
+    count-weighted quadratic.  Momentum restarts when a step opposes it
+    (O'Donoghue & Candes 2015) or changes the objective by at most
+    ``cfg.tol`` (relative).  The solve converges only on a plain proximal
+    step from the current iterate, taken with the full-side decomposition,
     that changes the objective by at most ``cfg.tol``; after
     ``cfg.max_iters`` iterations it returns the best iterate with
     ``converged=False``.
@@ -224,13 +251,14 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
     and the basis (that rank plus ``_OVERSAMPLE``) under half of it, a step
     takes the subspace path where the certificate shows that the residual
     ``y - q q^T y`` (``q`` the subspace basis) has spectral norm below the
-    threshold, and the full SVD otherwise; after ``_MAX_MISSES`` rejections
-    in a row the block keeps to the full SVD.  The certificate (the
-    Frobenius norm of the residual's Gram matrix after up to ``_SQUARINGS``
-    squarings) shows that the step's rank is right; how close the step
-    comes to the full SVT rests on the warm start, so the stopping rule
-    counts only full-SVD steps.  The monotone acceptance holds whichever
-    path ran, since the objective is evaluated on the step taken.
+    threshold, and the full-side decomposition otherwise; after
+    ``_MAX_MISSES`` rejections in a row the block keeps to the full side.
+    The certificate (the Frobenius norm of the residual's Gram matrix after
+    up to ``_SQUARINGS`` squarings) shows that the step's rank is right;
+    how close the step comes to the full SVT rests on the warm start, so
+    the stopping rule counts only full-side steps.  The monotone acceptance
+    holds whichever path ran, since the objective is evaluated on the step
+    taken.
     """
     if len(prob.omega) == 0:
         raise ValueError("solve_block needs a nonempty observation set")
@@ -279,9 +307,9 @@ def solve_block(prob: CompletionProblem, cfg: SolverConfig = SolverConfig()) -> 
 
     # t == 1 marks a plain step from x.  A small change after a momentum step
     # does not show x is near the optimum, so it only restarts.  A plain
-    # full-SVD step cannot raise F beyond rounding, so a small change there
+    # full-side step cannot raise F beyond rounding, so a small change there
     # is convergence; a subspace step is inexact, so after a small change
-    # there the next plain step takes the full SVD and decides.
+    # there the next plain step takes the full side and decides.
     x, y, t = q, q, 1.0
     f_x = objective(q, svals)
     objectives: list[float] = [f_x]

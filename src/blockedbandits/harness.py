@@ -13,9 +13,10 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import numbers
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -224,15 +225,24 @@ def _run_cell(dataset: str, gen: GeneratorSpec, label: str, name: str,
 
 
 def sweep(spec: SweepSpec, threads: int = 1) -> list[CellResult]:
-    """Run every (dataset, algorithm, seed) cell; deterministic result order."""
+    """Run every (dataset, algorithm, seed) cell; deterministic result order.
+
+    With ``threads >= 2`` the cells run in that many worker processes,
+    forked from this one: they inherit the imported package, anything
+    replaced in it, and this process's BLAS threading, so pin BLAS to one
+    thread per worker.  The results come back in the sweep's order, the
+    same as with one worker, which runs the cells in this process.
+    """
     cells = [(ds_label, gen, a_label, a_name, dict(a_params), seed)
              for ds_label, gen in spec.datasets
              for a_label, a_name, a_params in spec.algorithms
              for seed in spec.seeds]
     if threads <= 1:
         return [_run_cell(*c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda c: _run_cell(*c), cells))
+    with ProcessPoolExecutor(max_workers=threads,
+                             mp_context=multiprocessing.get_context("fork")
+                             ) as pool:
+        return list(pool.map(_run_cell, *zip(*cells)))
 
 
 def aggregate(results: list[CellResult]) -> dict[tuple[str, str], dict]:

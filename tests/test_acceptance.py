@@ -224,16 +224,19 @@ class TestAcceptance:
         # forces the schedule; exposed hypers: mu_bound=1.2, lighter solver
         params = {"mu_bound": 1.2,
                   "solver": SolverConfig(max_iters=400, tol=1e-7)}
-        means = {}
-        for horizon in (30, 60, 120):
-            spec = GeneratorSpec(name="d2", n_users=80, n_items=480,
-                                 n_clusters=4, horizon=horizon, budget=1)
-            vals = []
-            for seed in range(30):
-                inst = generate_instance(spec, seed)
-                trace, _ = run_algorithm(inst, "etc", seed, params)
-                vals.append(trace.final_regret)
-            means[horizon] = float(np.mean(vals))
+        horizons = (30, 60, 120)
+        spec = SweepSpec.make(
+            [(f"T{horizon}", GeneratorSpec(name="d2", n_users=80, n_items=480,
+                                           n_clusters=4, horizon=horizon,
+                                           budget=1))
+             for horizon in horizons],
+            [("etc", "etc", params)], range(30))
+        results = sweep(spec, threads=2)
+        assert not [r.error for r in results if r.failed]
+        # results come in sweep order: seeds ascending within each horizon
+        means = {horizon: float(np.mean([r.trace.final_regret for r in results
+                                         if r.dataset == f"T{horizon}"]))
+                 for horizon in horizons}
         xs = np.log([30.0, 60.0, 120.0])
         ys = np.log([means[30], means[60], means[120]])
         slope = float(np.polyfit(xs, ys, 1)[0])

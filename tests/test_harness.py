@@ -186,8 +186,26 @@ class TestSweep:
     def test_threaded_sweep_matches_serial(self):
         spec = small_sweep_spec(seeds=tuple(range(4)))
         serial = csv_text(sweep(spec, threads=1))
-        threaded = csv_text(sweep(spec, threads=3))
-        assert serial == threaded
+        for workers in (2, 3):
+            assert csv_text(sweep(spec, threads=workers)) == serial
+
+    def test_failed_cell_in_a_worker_keeps_its_place(self, monkeypatch):
+        random_runner = harness.ALGORITHMS["random"][1]
+
+        def failing_on_seed_2(sim, cfg, rng):
+            if sim.seed == 2:
+                raise RuntimeError("policy failed")
+            random_runner(sim, cfg, rng)
+
+        # forked workers inherit the replaced runner
+        monkeypatch.setitem(harness.ALGORITHMS, "random",
+                            (None, failing_on_seed_2))
+        results = sweep(small_sweep_spec(seeds=tuple(range(4))), threads=2)
+        assert [(r.algorithm, r.seed) for r in results] == [
+            (alg, seed) for alg in ("random", "oracle") for seed in range(4)]
+        assert [r.failed for r in results] == [False, False, True, False,
+                                               False, False, False, False]
+        assert "RuntimeError: policy failed" == results[2].error
 
 
 class TestParamTypes:
