@@ -10,6 +10,7 @@ points of a trace are meaningful.
 from __future__ import annotations
 
 import csv
+import ctypes
 import io
 import json
 import math
@@ -224,14 +225,49 @@ def _run_cell(dataset: str, gen: GeneratorSpec, label: str, name: str,
         return CellResult(dataset, label, seed, None, error=f"{type(exc).__name__}: {exc}")
 
 
+# OpenBLAS's thread-count setter under its plain, 64-bit-int and
+# scipy-openblas (numpy wheel) names
+_OPENBLAS_SET_THREADS = ("openblas_set_num_threads",
+                         "openblas_set_num_threads64_",
+                         "scipy_openblas_set_num_threads",
+                         "scipy_openblas_set_num_threads64_")
+
+
+def _numpy_blas() -> ctypes.CDLL:
+    """A handle on numpy's core extension, which also resolves the symbols
+    of the BLAS it links."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return ctypes.CDLL(umath.__file__)
+
+
+def _one_blas_thread() -> None:
+    """Sweep-worker initializer: run this process's OpenBLAS on one thread.
+
+    A forked worker inherits its parent's BLAS thread count, so several
+    workers would each start that many BLAS threads on the same cores and
+    spin against each other.  Under another BLAS no setter is found and the
+    thread count is left as it is.
+    """
+    lib = _numpy_blas()
+    for name in _OPENBLAS_SET_THREADS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter(1)
+            return
+
+
 def sweep(spec: SweepSpec, threads: int = 1) -> list[CellResult]:
     """Run every (dataset, algorithm, seed) cell; deterministic result order.
 
     With ``threads >= 2`` the cells run in that many worker processes,
-    forked from this one: they inherit the imported package, anything
-    replaced in it, and this process's BLAS threading, so pin BLAS to one
-    thread per worker.  The results come back in the sweep's order, the
-    same as with one worker, which runs the cells in this process.
+    forked from this one: they inherit the imported package and anything
+    replaced in it, and each runs OpenBLAS on one thread, so the workers
+    do not contend for cores with each other's BLAS threads.  The results
+    come back in the sweep's order, the same as with one worker, which
+    runs the cells in this process.
     """
     cells = [(ds_label, gen, a_label, a_name, dict(a_params), seed)
              for ds_label, gen in spec.datasets
@@ -240,8 +276,8 @@ def sweep(spec: SweepSpec, threads: int = 1) -> list[CellResult]:
     if threads <= 1:
         return [_run_cell(*c) for c in cells]
     with ProcessPoolExecutor(max_workers=threads,
-                             mp_context=multiprocessing.get_context("fork")
-                             ) as pool:
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_one_blas_thread) as pool:
         return list(pool.map(_run_cell, *zip(*cells)))
 
 

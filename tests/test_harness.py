@@ -207,6 +207,25 @@ class TestSweep:
                                                False, False, False, False]
         assert "RuntimeError: policy failed" == results[2].error
 
+    def test_workers_run_blas_on_one_thread(self, monkeypatch):
+        lib = harness._numpy_blas()
+        getter = next((getattr(lib, name.replace("_set_", "_get_"))
+                       for name in harness._OPENBLAS_SET_THREADS
+                       if hasattr(lib, name.replace("_set_", "_get_"))), None)
+        if getter is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+
+        def report_blas_threads(sim, cfg, rng):
+            raise RuntimeError(f"blas threads {getter()}")
+
+        parent_threads = getter()
+        monkeypatch.setitem(harness.ALGORITHMS, "random",
+                            (None, report_blas_threads))
+        results = sweep(small_sweep_spec(seeds=tuple(range(4))), threads=2)
+        assert [r.error for r in results[:4]] == [
+            "RuntimeError: blas threads 1"] * 4
+        assert getter() == parent_threads
+
 
 class TestParamTypes:
     SPEC = GeneratorSpec(name="d2", n_users=6, n_items=8, n_clusters=2,
