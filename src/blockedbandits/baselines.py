@@ -347,9 +347,21 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     rating sum), ``has`` (whether that sign is nonzero) and ``marks``, which
     is ``[liked | rated]`` side by side.  Every product of them is a count of
     at most max(M, N) < 2^24, which float32 holds exactly whatever order BLAS
-    sums in.  Two users who co-rated ``co > 0`` items with sign product sum
+    sums in, so a row slice of a product equals that row of the whole
+    product.  Two users who co-rated ``co > 0`` items with sign product sum
     ``dot`` agree on (co + dot) / 2 of them, so "agree at least half the
     time" is exactly ``dot >= 0``, with no rounded quotient to compare.
+
+    Each round first draws every user's branch as if every user had an item
+    to score, and then computes neighbour rows and scores only for the users
+    whose draw landed in the greedy branch (none while p_rand + p_joint >=
+    1).  A greedy user with no scorable item takes a uniform pick instead,
+    an extra draw that shifts every later user's draws: if there is one,
+    the round restores ``rng.bit_generator.state`` and draws again with the
+    real flags of all users, so the draws are those of one pass with every
+    flag known.  The products go into buffers allocated once per run and
+    sliced to the row count; temporaries whose size changes every round
+    would each be a fresh memory mapping that faults in anew.
     """
     inst = sim.instance
     if inst.noise.kind != "sign":
@@ -361,43 +373,71 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     has = np.zeros((n_u, n_i), dtype=np.float32)
     marks = np.zeros((n_u, 2 * n_i), dtype=np.float32)
     marks[:, n_i:] = sim.ledger.counts > 0
+    free = np.empty((n_u, n_i), dtype=bool)
+    taken = np.empty((n_u, n_i), dtype=np.float32)  # rows of has or signs
+    co = np.empty((n_u, n_u), dtype=np.float32)
+    dot = np.empty((n_u, n_u), dtype=np.float32)
+    near = np.empty((n_u, n_u), dtype=np.float32)
+    counts = np.empty((n_u, 2 * n_i), dtype=np.float32)
+    scorable = np.empty((n_u, n_i), dtype=bool)
+    rate = np.empty((n_u, n_i))
+    off = np.empty((n_u, n_i))
+
+    def greedy_picks(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The greedy pick of each user in ``rows`` and whether it has a
+        scorable item, from everything rated before this round.  The rates
+        are float64 quotients of exact counts: equal rates compare equal,
+        and argmax takes the lowest such item."""
+        r = rows.size
+        np.take(has, rows, axis=0, out=taken[:r])
+        np.matmul(taken[:r], has.T, out=co[:r])
+        np.take(signs, rows, axis=0, out=taken[:r])
+        np.matmul(taken[:r], signs.T, out=dot[:r])
+        np.logical_and(co[:r] > 0, dot[:r] >= 0, out=near[:r])
+        near[np.arange(r), rows] = 1.0
+        np.matmul(near[:r], marks, out=counts[:r])
+        likes, pulls = counts[:r, :n_i], counts[:r, n_i:]
+        np.take(free, rows, axis=0, out=scorable[:r])
+        scorable[:r] &= pulls > 0
+        np.copyto(rate[:r], likes)
+        np.maximum(pulls, 1.0, out=off[:r])  # 0 / 1 where nobody rated
+        rate[:r] /= off[:r]
+        # 2 off each item the user cannot score puts it below every rate
+        # in [0, 1] and leaves the others as they are; arithmetic, as a
+        # write through a scattered mask is several times slower
+        np.logical_not(scorable[:r], out=off[:r])
+        off[:r] *= 2.0
+        rate[:r] -= off[:r]
+        return rate[:r].argmax(axis=1), scorable[:r].any(axis=1)
+
     joint_sequence = rng.permutation(n_i)
     joint_ptr = 0
     users = np.arange(n_u)
+    assume_ok = [True] * n_u
     for t in range(1, horizon + 1):
         p_rand, p_joint = explore_probabilities(t, cfg)
         joint_item = int(joint_sequence[joint_ptr % n_i])
         joint_ptr += 1
-        # neighborhood like-rates from everything rated before this round
-        co = has @ has.T
-        dot = signs @ signs.T
-        neighbors = (co > 0) & (dot >= 0)
-        np.fill_diagonal(neighbors, True)
-        counts = neighbors.astype(np.float32) @ marks
-        likes, pulls = counts[:, :n_i], counts[:, n_i:]
-        # every user's pick under each branch; users are distinct within a
-        # round, so the round's own picks do not change these.  The rates
-        # are float64 quotients of exact counts: equal rates compare equal,
-        # and argmax takes the lowest such item.
-        free = sim.ledger.counts < inst.budget
-        scorable = free & (pulls > 0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            like_rate = likes.astype(np.float64) / pulls
-        scores = np.where(scorable, like_rate, -np.inf)
-        picks = scores.argmax(axis=1)
-        greedy_ok = scorable.any(axis=1).tolist()
+        # users are distinct within a round, so the round's own picks do
+        # not change any user's branch or pick
+        np.less(sim.ledger.counts, inst.budget, out=free)
         joint_ok = free[:, joint_item].tolist()
         sizes = free.sum(axis=1).tolist()
-        kth = np.full(n_u, -1)  # the k-th free item, for uniform picks
-        for user in range(n_u):
-            draw = rng.random()
-            joint = p_rand <= draw < p_rand + p_joint
-            if joint and joint_ok[user]:
-                picks[user] = joint_item
-            elif draw < p_rand or joint or not greedy_ok[user]:
-                kth[user] = rng.integers(sizes[user])
-        uniform = kth >= 0
-        picks[uniform] = _kth_free(free[uniform], kth[uniform])
+        state = rng.bit_generator.state
+        branch = _draw_branches(rng, p_rand, p_joint, joint_ok, sizes,
+                                assume_ok)
+        picks = np.full(n_u, joint_item)
+        greedy = np.flatnonzero(branch == _GREEDY)
+        if greedy.size:
+            picks[greedy], greedy_ok = greedy_picks(greedy)
+            if not greedy_ok.all():
+                rng.bit_generator.state = state
+                every_pick, greedy_ok = greedy_picks(users)
+                branch = _draw_branches(rng, p_rand, p_joint, joint_ok,
+                                        sizes, greedy_ok.tolist())
+                picks = np.where(branch == _GREEDY, every_pick, joint_item)
+        uniform = branch >= 0
+        picks[uniform] = _kth_free(free[uniform], branch[uniform])
         values, _ = sim.recommend_many(users, picks, "greedy")
         rating_sum[users, picks] += values
         sign = np.sign(rating_sum[users, picks])
@@ -405,6 +445,29 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
         has[users, picks] = sign != 0
         marks[users, picks] = sign > 0
         marks[users, n_i + picks] = 1.0
+
+
+_JOINT, _GREEDY = -2, -1  # branch codes; a uniform pick's code is its k
+
+
+def _draw_branches(rng: np.random.Generator, p_rand: float, p_joint: float,
+                   joint_ok: list[bool], sizes: list[int],
+                   greedy_ok: list[bool]) -> np.ndarray:
+    """Each user's branch for the round, drawn user by user: ``_JOINT``,
+    ``_GREEDY``, or for a uniform pick the k of the k-th free item.  A user
+    whose joint item is blocked, or who has no greedy pick, draws a uniform
+    pick instead."""
+    branch = []
+    for user, size in enumerate(sizes):
+        draw = rng.random()
+        joint = p_rand <= draw < p_rand + p_joint
+        if joint and joint_ok[user]:
+            branch.append(_JOINT)
+        elif draw < p_rand or joint or not greedy_ok[user]:
+            branch.append(int(rng.integers(size)))
+        else:
+            branch.append(_GREEDY)
+    return np.array(branch)
 
 
 # -- oracle and uniform random ------------------------------------------------

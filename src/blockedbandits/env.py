@@ -286,6 +286,12 @@ class BlockingLedger:
     first; ``reusable=True`` is the regime of the item-clustered variant,
     where every observation is kept forever and may feed any number of
     estimates.
+
+    ``counts`` is ``uint32`` and ``record_many`` adds to it through its flat
+    view, one ``np.uint32(1)`` per flat pair index.  A 1-D index and an
+    increment of the array's own dtype are what numpy's fast ``ufunc.at``
+    loop needs; a Python int increment takes the general loop, which is
+    about 30 times slower on numpy 2.4.
     """
 
     def __init__(self, n_users: int, n_items: int, budget: int,
@@ -298,14 +304,16 @@ class BlockingLedger:
         return int(self.counts.max())
 
     def record_many(self, users: np.ndarray, items: np.ndarray) -> None:
-        """Count each pair.  If a pair would pass the budget, takes the
-        counts back and raises, naming the lowest-index pair of those that
-        would reach the highest count."""
-        np.add.at(self.counts, (users, items), 1)
-        after = self.counts[users, items]
+        """Count each pair.  A user or item out of range (negative ones
+        included) raises ``ValueError`` before any count.  If a pair would
+        pass the budget, takes the counts back and raises, naming the
+        lowest-index pair of those that would reach the highest count."""
+        pairs = np.ravel_multi_index((users, items), self.counts.shape)
+        flat = self.counts.reshape(-1)
+        np.add.at(flat, pairs, np.uint32(1))
+        after = flat[pairs]
         if after.max() > self.budget:
-            np.subtract.at(self.counts, (users, items), 1)
-            pairs = np.ravel_multi_index((users, items), self.counts.shape)
+            np.subtract.at(flat, pairs, np.uint32(1))
             user, item = np.unravel_index(pairs[after == after.max()].min(),
                                           self.counts.shape)
             raise BudgetError(f"budget exhausted for user {user}, item {item}")
@@ -419,8 +427,10 @@ class Simulation:
         path), otherwise the value is stored for potential reuse.  Returns
         the observed values and the event ids.  Checks the whole batch
         before any write: :class:`ProtocolError` if a user would pass round
-        T, then :class:`BudgetError` if a pair would pass the budget, and a
-        failed batch leaves the simulation as it was."""
+        T, then :class:`BudgetError` if a pair would pass the budget, and
+        ``IndexError`` or ``ValueError`` for a user or item out of range,
+        negative ones included; a failed batch leaves the simulation as it
+        was."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
         if not users.size:

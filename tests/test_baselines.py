@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from blockedbandits import baselines
 from blockedbandits.baselines import (
     CollabGreedyConfig,
     EtcConfig,
@@ -313,6 +314,27 @@ class TestCollabGreedy:
             seed)
         self.assert_matches_reference(inst, seed,
                                       CollabGreedyConfig(theta, alpha))
+
+    def test_rewinds_for_a_greedy_user_with_nothing_to_score(self,
+                                                              monkeypatch):
+        # two users on 40 items at B = 1: until they co-rate an item and
+        # agree on it, neither is the other's neighbour, and a user's own
+        # rated items are blocked, so a greedy draw finds nothing to score
+        # and the round is drawn again from the same generator state
+        inst = Instance(2, 40, 20, 1, 1, np.zeros(2, dtype=int),
+                        np.full((2, 40), 0.5), NoiseModel("sign"))
+        starts = []
+        draw = baselines._draw_branches
+
+        def spy(rng, *args):
+            starts.append(rng.bit_generator.state)
+            return draw(rng, *args)
+
+        monkeypatch.setattr(baselines, "_draw_branches", spy)
+        self.assert_matches_reference(inst, 0, CollabGreedyConfig())
+        restores = sum(a == b for a, b in zip(starts, starts[1:]))
+        assert restores >= 1
+        assert len(starts) == inst.horizon + restores
 
     @pytest.mark.slow
     def test_matches_reference_past_float16_range(self):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from blockedbandits.env import (
     Batch,
+    BlockingLedger,
     BudgetError,
     ConfigurationError,
     GeneratorSpec,
@@ -286,6 +287,37 @@ class TestLedger:
                 break  # horizon exhausted for that user
             assert sim.ledger.max_pair_count() <= inst.budget
 
+    @given(data=st.data(), budget=st.integers(1, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_record_many_matches_pair_loop(self, data, budget):
+        # a per-pair loop model: each pair in batch order counts one, and a
+        # batch that passes the budget names the lowest-index pair of those
+        # reaching the highest count and counts nothing
+        n_users, n_items = 3, 4
+        ledger = BlockingLedger(n_users, n_items, budget)
+        model = np.zeros((n_users, n_items), dtype=np.int64)
+        for _ in range(data.draw(st.integers(1, 4))):
+            pairs = data.draw(st.lists(
+                st.tuples(st.integers(0, n_users - 1),
+                          st.integers(0, n_items - 1)), min_size=1,
+                max_size=12))
+            after = model.copy()
+            for user, item in pairs:
+                after[user, item] += 1
+            users, items = (np.array(col) for col in zip(*pairs))
+            if after.max() > budget:
+                top = after.max()
+                user, item = min(pair for pair in pairs
+                                 if after[pair] == top)
+                with pytest.raises(BudgetError,
+                                   match=f"user {user}, item {item}$"):
+                    ledger.record_many(users, items)
+            else:
+                ledger.record_many(users, items)
+                model = after
+            np.testing.assert_array_equal(ledger.counts, model)
+        assert ledger.counts.dtype == np.uint32
+
 
 class TestProtocol:
     def test_every_user_gets_exactly_t_rounds(self, tiny_gaussian_instance):
@@ -483,6 +515,19 @@ class TestRecommendMany:
         before = sim_state(sim)
         with pytest.raises(ValueError):
             sim.recommend_many([0, 1], [0, 1], ["a", "b", "c"])
+        assert sim_state(sim) == before
+
+    # a negative index would wrap round to the last user or item
+    @pytest.mark.parametrize("user,item", [(-1, 0), (0, -1), (3, 0), (0, 4)])
+    def test_pairs_out_of_range_raise_and_write_nothing(self, user, item):
+        inst = generate_instance(
+            GeneratorSpec(name="custom", n_users=3, n_items=4, n_clusters=1,
+                          horizon=3, budget=1), seed=0)
+        sim = Simulation(inst, 0)
+        sim.recommend(1, 2, "x")
+        before = sim_state(sim)
+        with pytest.raises((IndexError, ValueError)):
+            sim.recommend_many([1, user], [0, item], "y")
         assert sim_state(sim) == before
 
 
