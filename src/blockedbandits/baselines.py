@@ -342,13 +342,17 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     Reconstructed baseline; exact neighborhood details follow common practice
     rather than any single reference implementation.
 
-    The neighbourhood statistics live in float32 indicator matrices that are
-    updated only at each round's M picks: ``signs`` (the sign of each pair's
-    rating sum), ``has`` (whether that sign is nonzero) and ``marks``, which
-    is ``[liked | rated]`` side by side.  Every product of them is a count of
-    at most max(M, N) < 2^24, which float32 holds exactly whatever order BLAS
-    sums in, so a row slice of a product equals that row of the whole
-    product.  Two users who co-rated ``co > 0`` items with sign product sum
+    The neighbourhood statistics are updated only at each round's M picks:
+    ``signs`` (float32, the sign of each pair's rating sum), ``signed_by``
+    (item-major, whether that sign is nonzero), ``marks`` (float32,
+    ``[liked | rated]`` side by side) and ``corated``, whether two users
+    have a nonzero sign on a common item.  ``corated`` takes in the
+    ``signed_by`` rows of the round's newly signed pairs, and is rebuilt
+    with one product in a round where some rating sum returns to 0, which
+    only B >= 2 allows.  Every product of the float32 state is a count of
+    at most max(M, N) < 2^24, which float32 holds exactly whatever order
+    BLAS sums in, so a row slice of a product equals that row of the whole
+    product.  Two users with ``co`` co-rated items and sign product sum
     ``dot`` agree on (co + dot) / 2 of them, so "agree at least half the
     time" is exactly ``dot >= 0``, with no rounded quotient to compare.
 
@@ -361,7 +365,8 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     real flags of all users, so the draws are those of one pass with every
     flag known.  The products go into buffers allocated once per run and
     sliced to the row count; temporaries whose size changes every round
-    would each be a fresh memory mapping that faults in anew.
+    would each be a fresh memory mapping that faults in anew.  The free
+    mask and the users' free counts follow the picks.
     """
     inst = sim.instance
     if inst.noise.kind != "sign":
@@ -370,12 +375,13 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     horizon = inst.horizon
     rating_sum = np.zeros((n_u, n_i))
     signs = np.zeros((n_u, n_i), dtype=np.float32)
-    has = np.zeros((n_u, n_i), dtype=np.float32)
+    signed_by = np.zeros((n_i, n_u), dtype=bool)  # item-major nonzero signs
+    corated = np.zeros((n_u, n_u), dtype=bool)
     marks = np.zeros((n_u, 2 * n_i), dtype=np.float32)
     marks[:, n_i:] = sim.ledger.counts > 0
-    free = np.empty((n_u, n_i), dtype=bool)
-    taken = np.empty((n_u, n_i), dtype=np.float32)  # rows of has or signs
-    co = np.empty((n_u, n_u), dtype=np.float32)
+    free = sim.ledger.counts < inst.budget
+    n_free = free.sum(axis=1)
+    taken = np.empty((n_u, n_i), dtype=np.float32)  # rows of signs
     dot = np.empty((n_u, n_u), dtype=np.float32)
     near = np.empty((n_u, n_u), dtype=np.float32)
     counts = np.empty((n_u, 2 * n_i), dtype=np.float32)
@@ -389,11 +395,9 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
         are float64 quotients of exact counts: equal rates compare equal,
         and argmax takes the lowest such item."""
         r = rows.size
-        np.take(has, rows, axis=0, out=taken[:r])
-        np.matmul(taken[:r], has.T, out=co[:r])
         np.take(signs, rows, axis=0, out=taken[:r])
         np.matmul(taken[:r], signs.T, out=dot[:r])
-        np.logical_and(co[:r] > 0, dot[:r] >= 0, out=near[:r])
+        np.logical_and(corated[rows], dot[:r] >= 0, out=near[:r])
         near[np.arange(r), rows] = 1.0
         np.matmul(near[:r], marks, out=counts[:r])
         likes, pulls = counts[:r, :n_i], counts[:r, n_i:]
@@ -420,9 +424,8 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
         joint_ptr += 1
         # users are distinct within a round, so the round's own picks do
         # not change any user's branch or pick
-        np.less(sim.ledger.counts, inst.budget, out=free)
         joint_ok = free[:, joint_item].tolist()
-        sizes = free.sum(axis=1).tolist()
+        sizes = n_free.tolist()
         state = rng.bit_generator.state
         branch = _draw_branches(rng, p_rand, p_joint, joint_ok, sizes,
                                 assume_ok)
@@ -437,37 +440,100 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
                                         sizes, greedy_ok.tolist())
                 picks = np.where(branch == _GREEDY, every_pick, joint_item)
         uniform = branch >= 0
-        picks[uniform] = _kth_free(free[uniform], branch[uniform])
+        picks[uniform] = _kth_free(free[uniform], branch[uniform],
+                                   n_free[uniform])
         values, _ = sim.recommend_many(users, picks, "greedy")
+        _drop_full(sim, free, n_free, picks)
         rating_sum[users, picks] += values
         sign = np.sign(rating_sum[users, picks])
         signs[users, picks] = sign
-        has[users, picks] = sign != 0
         marks[users, picks] = sign > 0
         marks[users, n_i + picks] = 1.0
+        had, rated = signed_by[picks, users], sign != 0
+        signed_by[picks, users] = rated
+        if (had & ~rated).any():
+            corated[:] = _co_rating(signed_by)
+        else:
+            # each newly signed pair makes its user co-rate with every
+            # user who signed its item; corated stays symmetric
+            gained = rated & ~had
+            corated[gained] |= signed_by[picks[gained]]
+            np.logical_or(corated, corated.T, out=corated)
 
 
 _JOINT, _GREEDY = -2, -1  # branch codes; a uniform pick's code is its k
+_LOW = 0xFFFFFFFF  # the low 32-bit half of a raw word
 
 
 def _draw_branches(rng: np.random.Generator, p_rand: float, p_joint: float,
                    joint_ok: list[bool], sizes: list[int],
                    greedy_ok: list[bool]) -> np.ndarray:
-    """Each user's branch for the round, drawn user by user: ``_JOINT``,
-    ``_GREEDY``, or for a uniform pick the k of the k-th free item.  A user
-    whose joint item is blocked, or who has no greedy pick, draws a uniform
-    pick instead."""
-    branch = []
+    """Each user's branch for the round: ``_JOINT``, ``_GREEDY``, or for a
+    uniform pick the k of the k-th free item.  A user whose joint item is
+    blocked, or who has no greedy pick, draws a uniform pick instead.
+
+    The draws, and the state the generator is left in, are those of one
+    ``rng.random()`` per user and one ``rng.integers(size)`` per uniform
+    pick, user by user, decoded from one block of raw 64-bit words of the
+    bit generator (PCG64, numpy's default).  ``random()`` is the top 53
+    bits of a word.  ``integers(size)`` is Lemire's multiply-shift on a
+    32-bit half, taken again while the product's low word is below
+    2^32 mod size: the low half of a new word, whose high half is kept
+    for the next one (``has_uint32`` and ``uinteger`` in the state), and no
+    draw at all for size 1.  Sizes are below 2^32.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    has, half = start["has_uint32"], start["uinteger"]
+    # enough words for every draw unless a half is taken again; each
+    # retaken half fetches one more
+    raw = bitgen.random_raw(len(sizes) + (len(sizes) + 1 - has) // 2)
+    words = raw.tolist()
+    draws = ((raw >> np.uint64(11)) * 2.0 ** -53).tolist()
+    pos = 0
+    p_both = p_rand + p_joint
+    branch = [_GREEDY] * len(sizes)
     for user, size in enumerate(sizes):
-        draw = rng.random()
-        joint = p_rand <= draw < p_rand + p_joint
-        if joint and joint_ok[user]:
-            branch.append(_JOINT)
-        elif draw < p_rand or joint or not greedy_ok[user]:
-            branch.append(int(rng.integers(size)))
-        else:
-            branch.append(_GREEDY)
+        draw = draws[pos]
+        pos += 1
+        if draw >= p_both:
+            if greedy_ok[user]:
+                continue
+        elif draw >= p_rand and joint_ok[user]:
+            branch[user] = _JOINT
+            continue
+        if size == 1:
+            branch[user] = 0
+            continue
+        threshold = (_LOW + 1 - size) % size
+        while True:
+            if has:
+                has, low = 0, half
+            else:
+                has, half, low = 1, words[pos] >> 32, words[pos] & _LOW
+                pos += 1
+            product = low * size
+            if product & _LOW >= threshold:
+                break
+            word = int(bitgen.random_raw())
+            words.append(word)
+            draws.append((word >> 11) * 2.0 ** -53)
+        branch[user] = product >> 32
+    bitgen.state = start
+    bitgen.advance(pos)  # which clears the buffered half
+    if has or half:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = has, half
+        bitgen.state = state
     return np.array(branch)
+
+
+def _co_rating(signed_by: np.ndarray) -> np.ndarray:
+    """Whether each two users both have a nonzero sign on some item, from
+    the item-major boolean matrix ``signed_by`` (N x M): one product of
+    float32 counts below 2^24."""
+    counts = signed_by.astype(np.float32)
+    return counts.T @ counts > 0
 
 
 # -- oracle and uniform random ------------------------------------------------
@@ -480,21 +546,38 @@ def run_oracle(sim: Simulation) -> None:
     _commit(sim, mean_reward_matrix(sim.instance), "oracle")
 
 
-def _kth_free(free: np.ndarray, k: np.ndarray) -> np.ndarray:
+def _kth_free(free: np.ndarray, k: np.ndarray,
+              sizes: np.ndarray | None = None) -> np.ndarray:
     """Per row of the boolean matrix ``free``, the index of its k-th (from
-    0) True entry; row i needs more than k[i] True entries."""
+    0) True entry; row i needs more than k[i] True entries.  ``sizes``, the
+    rows' True counts, is counted here if the caller does not hold it."""
     n_rows, n_cols = free.shape
-    sizes = np.count_nonzero(free, axis=1)
+    if sizes is None:
+        sizes = np.count_nonzero(free, axis=1)
     starts = np.cumsum(sizes) - sizes  # row i's first True in flat order
     return np.flatnonzero(free)[starts + k] - np.arange(n_rows) * n_cols
 
 
+def _drop_full(sim: Simulation, free: np.ndarray, n_free: np.ndarray,
+               picks: np.ndarray) -> None:
+    """After a round in which each user u got ``picks[u]``: clear the
+    ``free`` flag of each picked pair now at budget, and take it off its
+    user's count ``n_free``."""
+    users = np.arange(picks.size)
+    full = sim.ledger.counts[users, picks] >= sim.instance.budget
+    free[users, picks] = ~full
+    n_free -= full
+
+
 def run_random(sim: Simulation, rng: np.random.Generator) -> None:
     """Each round, every user gets a uniform draw from its unblocked items;
-    one array-bounded draw per round, the same stream as a draw per user."""
+    one array-bounded draw per round, the same stream as a draw per user.
+    The free mask and the users' free counts follow the picks."""
     inst = sim.instance
     users = np.arange(inst.n_users)
+    free = sim.ledger.counts < inst.budget
+    n_free = free.sum(axis=1)
     for _ in range(inst.horizon):
-        free = sim.ledger.counts < inst.budget
-        picks = _kth_free(free, rng.integers(0, free.sum(axis=1)))
+        picks = _kth_free(free, rng.integers(0, n_free), n_free)
         sim.recommend_many(users, picks, "random")
+        _drop_full(sim, free, n_free, picks)

@@ -8,6 +8,7 @@ one machine-parsable line to stderr: ``error kind=<config|runtime> msg=...``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -271,7 +272,10 @@ def _threads(text: str) -> int:
     return count
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and then shared:
+    building it costs about a millisecond, a share of every command."""
     parser = _Parser(
         prog="blockedbandits",
         description="Budget-constrained collaborative bandit experiments")
@@ -287,30 +291,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run one dataset/algorithm config")
     p_run.add_argument("--config", required=True)
     common(p_run)
-    p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run a dataset x algorithm grid")
     p_sweep.add_argument("--config", required=True)
     common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
 
     p_fig = sub.add_parser("paperfig",
                            help="regret comparison on a synthetic dataset")
     p_fig.add_argument("dataset", choices=["d1", "d2", "d3"])
     p_fig.add_argument("scale", type=float)
     common(p_fig)
-    p_fig.set_defaults(func=cmd_paperfig)
 
     p_diag = sub.add_parser("diag", help="incoherence/conditioning of an instance")
     p_diag.add_argument("instance", help="path to an instance JSON document")
-    p_diag.set_defaults(func=cmd_diag)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # looked up at call time, so a patched ``cmd_*`` is the one called
+        return globals()[f"cmd_{args.command}"](args)
     except (ConfigurationError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
         print(f"error kind=config msg={exc}", file=sys.stderr)
         return 1

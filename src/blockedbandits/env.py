@@ -435,11 +435,16 @@ class Simulation:
         items = np.asarray(items, dtype=np.int64)
         if not users.size:
             return np.zeros(0), np.zeros(0, dtype=np.int64)
-        order, starts = _runs(users)
+        per_user = np.bincount(users, minlength=self.instance.n_users)
+        rounds = self.rounds_done[users] + 1
         steps = np.arange(users.size)
-        repeat = np.empty_like(steps)  # earlier batch entries of the same user
-        repeat[order] = steps - np.maximum.accumulate(np.where(starts, steps, 0))
-        rounds = self.rounds_done[users] + repeat + 1
+        if per_user.max() > 1:
+            # each entry's earlier entries of the same user in the batch
+            order, starts = _runs(users)
+            repeat = np.empty_like(steps)
+            repeat[order] = steps - np.maximum.accumulate(
+                np.where(starts, steps, 0))
+            rounds += repeat
         if rounds.max() > self.instance.horizon:
             user = users[rounds.argmax()]
             raise ProtocolError(
@@ -471,7 +476,7 @@ class Simulation:
         self.event_reward[batch] = values
         self.event_stored[batch] = stored
         self.n_events += users.size
-        self.rounds_done += np.bincount(users, minlength=self.instance.n_users)
+        self.rounds_done += per_user
         return values, event_ids
 
     def _newest_stored(self, user: int, item: int) -> int:

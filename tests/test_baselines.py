@@ -336,6 +336,25 @@ class TestCollabGreedy:
         assert restores >= 1
         assert len(starts) == inst.horizon + restores
 
+    def test_rebuilds_co_rating_when_a_rating_sum_returns_to_zero(
+            self, monkeypatch):
+        # B = 2: a +1 and a -1 on one pair take its rating sum back to 0,
+        # and its user may then co-rate no item with a user it did; on
+        # this instance and seed, keeping the stale co-rating flag changes
+        # a later pick
+        inst = Instance(4, 3, 5, 2, 1, np.zeros(4, dtype=int),
+                        np.full((4, 3), 0.5), NoiseModel("sign"))
+        rebuilds = []
+        co_rating = baselines._co_rating
+
+        def spy(signed_by):
+            rebuilds.append(1)
+            return co_rating(signed_by)
+
+        monkeypatch.setattr(baselines, "_co_rating", spy)
+        self.assert_matches_reference(inst, 3, CollabGreedyConfig())
+        assert rebuilds
+
     @pytest.mark.slow
     def test_matches_reference_past_float16_range(self):
         # 2600 users who like every item 95% of the time: by round 5 most
@@ -353,6 +372,92 @@ class TestCollabGreedy:
         _, sim = run_algorithm(inst, "collab-greedy", 10)
         assert sim.ledger.max_pair_count() <= 1
         assert sim.finished()
+
+
+def scalar_branches(rng, p_rand, p_joint, joint_ok, sizes, greedy_ok):
+    """``_draw_branches`` as it was before it decoded a block of raw words:
+    one ``rng.random()`` per user and one ``rng.integers(size)`` per uniform
+    pick, user by user."""
+    branch = []
+    for user, size in enumerate(sizes):
+        draw = rng.random()
+        joint = p_rand <= draw < p_rand + p_joint
+        if joint and joint_ok[user]:
+            branch.append(baselines._JOINT)
+        elif draw < p_rand or joint or not greedy_ok[user]:
+            branch.append(int(rng.integers(size)))
+        else:
+            branch.append(baselines._GREEDY)
+    return np.array(branch)
+
+
+class TestDrawBranches:
+    """The block decoder gives the branches, and leaves the whole
+    ``bit_generator.state`` (buffered 32-bit half included), of the scalar
+    calls."""
+
+    @staticmethod
+    def draw_both(seed, lead, *args):
+        """(branches, generator) of the decoder and of the scalar calls,
+        each on a generator that first made ``lead`` draws of
+        ``integers(5)``; an odd ``lead`` leaves a buffered half."""
+        runs = []
+        for draw in (baselines._draw_branches, scalar_branches):
+            rng = np.random.default_rng(seed)
+            for _ in range(lead):
+                rng.integers(5)
+            runs.append((draw(rng, *args).tolist(), rng))
+        return runs
+
+    def assert_matches_scalar(self, seed, lead, *args):
+        (got, rng), (expected, scalar_rng) = self.draw_both(seed, lead, *args)
+        assert got == expected
+        assert rng.bit_generator.state == scalar_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32), lead=st.integers(0, 3),
+           p_rand=st.floats(0, 1), p_joint=st.floats(0, 1),
+           users=st.lists(st.tuples(
+               st.booleans(), st.booleans(),
+               st.integers(1, 300) | st.integers(2 ** 31 - 3, 2 ** 31 + 3)),
+               min_size=1, max_size=40))
+    def test_matches_scalar_calls(self, seed, lead, p_rand, p_joint, users):
+        joint_ok, greedy_ok, sizes = (list(col) for col in zip(*users))
+        self.assert_matches_scalar(seed, lead, p_rand, p_joint, joint_ok,
+                                   sizes, greedy_ok)
+
+    def test_buffered_half_on_entry(self):
+        rng = np.random.default_rng(3)
+        rng.integers(5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        # every user uniform: the first pick takes the buffered half
+        self.assert_matches_scalar(3, 1, 1.0, 0.0, [True] * 9,
+                                   list(range(2, 11)), [True] * 9)
+
+    def test_size_one_draws_nothing(self):
+        (got, rng), _ = self.draw_both(5, 1, 1.0, 0.0, [True] * 6, [1] * 6,
+                                       [True] * 6)
+        assert got == [0] * 6
+        # one word per user for its branch, and the buffered half kept
+        expected = np.random.default_rng(5)
+        expected.integers(5)
+        expected.bit_generator.random_raw(6)
+        assert rng.bit_generator.state == expected.bit_generator.state
+        self.assert_matches_scalar(5, 1, 1.0, 0.0, [True] * 6, [1] * 6,
+                                   [True] * 6)
+
+    def test_rejections_past_the_block(self):
+        # at size 2^31 + 1 about half the halves are rejected; 30 uniform
+        # users take more words than the block of 30 + 15 the decoder
+        # fetches first
+        n, size = 30, 2 ** 31 + 1
+        args = (1.0, 0.0, [True] * n, [size] * n, [True] * n)
+        self.assert_matches_scalar(0, 0, *args)
+        (_, rng), _ = self.draw_both(0, 0, *args)
+        end = rng.bit_generator.state["state"]
+        used = [k for k in range(4 * n) if np.random.default_rng(
+            0).bit_generator.advance(k).state["state"] == end]
+        assert used and used[0] > n + (n + 1) // 2
 
 
 class TestKthFree:

@@ -402,7 +402,8 @@ class TestRecommendMany:
         pair = st.tuples(st.integers(0, n_users - 1),
                          st.integers(0, n_items - 1))
         for _ in range(data.draw(st.integers(1, 8))):
-            op = data.draw(st.sampled_from(["batch", "scalar", "reuse"]))
+            op = data.draw(st.sampled_from(["batch", "scalar", "reuse",
+                                            "round"]))
             if op == "reuse":
                 user, item = data.draw(pair)
                 expected = reference_reuse(loop_sim, user, item)
@@ -411,8 +412,15 @@ class TestRecommendMany:
                 else:
                     assert batch_sim.reuse_observation(user, item) == expected
                 continue
-            pairs = data.draw(st.lists(
-                pair, min_size=1, max_size=1 if op == "scalar" else 6))
+            if op == "round":
+                # one pair per user, every user once, as the policies'
+                # rounds record them
+                order = data.draw(st.permutations(range(n_users)))
+                pairs = [(user, data.draw(st.integers(0, n_items - 1)))
+                         for user in order]
+            else:
+                pairs = data.draw(st.lists(
+                    pair, min_size=1, max_size=1 if op == "scalar" else 6))
             n = len(pairs)
             # one purpose and one flag for the batch, or one of each per pair
             purpose = data.draw(st.sampled_from(["a", "b"]) if op == "scalar"
