@@ -48,13 +48,22 @@ def etc_sampling_prob(n_users: int, n_items: int, horizon: int, sigma: float,
     """Exploration rate balancing estimation error against exploration cost.
 
     (N * Pmax)^(-2/3) * (T * sigma * r * mu^(3/2) / sqrt(d2))^(2/3), floored
-    at mu^2 / d2, the minimum rate for completion to see enough entries.
+    at mu^2 / d2, the minimum rate for completion to see enough entries.  A
+    rate past the float range is inf.
     """
     d2 = min(n_users, n_items)
     ceiling = max(reward_ceiling, 1e-12)
-    main = (n_items * ceiling) ** (-2 / 3) * (
-        horizon * sigma * rank * mu_bound ** 1.5 / math.sqrt(d2)) ** (2 / 3)
-    return max(main, mu_bound ** 2 / d2)
+    try:
+        main = (n_items * ceiling) ** (-2 / 3) * (
+            horizon * sigma * rank * mu_bound ** 1.5 / math.sqrt(d2)
+        ) ** (2 / 3)
+        return max(main, mu_bound ** 2 / d2)
+    except OverflowError:
+        # mu^2 past the float range: the same rate from logs
+        log_mu, log_d2 = math.log(mu_bound), math.log(d2)
+        log_main = 2 / 3 * (phased._log(horizon * sigma * rank) + 1.5 * log_mu
+                            - 0.5 * log_d2 - math.log(n_items * ceiling))
+        return phased._exp(max(log_main, 2 * log_mu - log_d2))
 
 
 def run_etc(sim: Simulation, cfg: EtcConfig, rng: np.random.Generator) -> None:
@@ -356,17 +365,16 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     ``dot`` agree on (co + dot) / 2 of them, so "agree at least half the
     time" is exactly ``dot >= 0``, with no rounded quotient to compare.
 
-    Each round first draws every user's branch as if every user had an item
-    to score, and then computes neighbour rows and scores only for the users
-    whose draw landed in the greedy branch (none while p_rand + p_joint >=
-    1).  A greedy user with no scorable item takes a uniform pick instead,
-    an extra draw that shifts every later user's draws: if there is one,
-    the round restores ``rng.bit_generator.state`` and draws again with the
-    real flags of all users, so the draws are those of one pass with every
-    flag known.  The products go into buffers allocated once per run and
-    sliced to the row count; temporaries whose size changes every round
-    would each be a fresh memory mapping that faults in anew.  The free
-    mask and the users' free counts follow the picks.
+    Each round draws every user's branch with one ``rng.random(M)``, and
+    computes neighbour rows and scores only for the users whose draw landed
+    in the greedy branch (none while p_rand + p_joint >= 1).  The uniform
+    users, those of the random branch, of a blocked joint item and of a
+    greedy branch with no scorable item, then take one array-bounded
+    ``rng.integers`` draw, as in ``run_random``.  The products go into
+    buffers allocated once per run and sliced to the row count; temporaries
+    whose size changes every round would each be a fresh memory mapping
+    that faults in anew.  The free mask and the users' free counts follow
+    the picks.
     """
     inst = sim.instance
     if inst.noise.kind != "sign":
@@ -417,31 +425,23 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
     joint_sequence = rng.permutation(n_i)
     joint_ptr = 0
     users = np.arange(n_u)
-    assume_ok = [True] * n_u
     for t in range(1, horizon + 1):
         p_rand, p_joint = explore_probabilities(t, cfg)
         joint_item = int(joint_sequence[joint_ptr % n_i])
         joint_ptr += 1
         # users are distinct within a round, so the round's own picks do
         # not change any user's branch or pick
-        joint_ok = free[:, joint_item].tolist()
-        sizes = n_free.tolist()
-        state = rng.bit_generator.state
-        branch = _draw_branches(rng, p_rand, p_joint, joint_ok, sizes,
-                                assume_ok)
+        draws = rng.random(n_u)
         picks = np.full(n_u, joint_item)
-        greedy = np.flatnonzero(branch == _GREEDY)
+        uniform = (draws < p_rand) | (
+            (draws < p_rand + p_joint) & ~free[:, joint_item])
+        greedy = np.flatnonzero(draws >= p_rand + p_joint)
         if greedy.size:
             picks[greedy], greedy_ok = greedy_picks(greedy)
-            if not greedy_ok.all():
-                rng.bit_generator.state = state
-                every_pick, greedy_ok = greedy_picks(users)
-                branch = _draw_branches(rng, p_rand, p_joint, joint_ok,
-                                        sizes, greedy_ok.tolist())
-                picks = np.where(branch == _GREEDY, every_pick, joint_item)
-        uniform = branch >= 0
-        picks[uniform] = _kth_free(free[uniform], branch[uniform],
-                                   n_free[uniform])
+            uniform[greedy[~greedy_ok]] = True
+        sizes = n_free[uniform]
+        picks[uniform] = _kth_free(free[uniform], rng.integers(0, sizes),
+                                   sizes)
         values, _ = sim.recommend_many(users, picks, "greedy")
         _drop_full(sim, free, n_free, picks)
         rating_sum[users, picks] += values
@@ -459,73 +459,6 @@ def run_collab_greedy(sim: Simulation, cfg: CollabGreedyConfig,
             gained = rated & ~had
             corated[gained] |= signed_by[picks[gained]]
             np.logical_or(corated, corated.T, out=corated)
-
-
-_JOINT, _GREEDY = -2, -1  # branch codes; a uniform pick's code is its k
-_LOW = 0xFFFFFFFF  # the low 32-bit half of a raw word
-
-
-def _draw_branches(rng: np.random.Generator, p_rand: float, p_joint: float,
-                   joint_ok: list[bool], sizes: list[int],
-                   greedy_ok: list[bool]) -> np.ndarray:
-    """Each user's branch for the round: ``_JOINT``, ``_GREEDY``, or for a
-    uniform pick the k of the k-th free item.  A user whose joint item is
-    blocked, or who has no greedy pick, draws a uniform pick instead.
-
-    The draws, and the state the generator is left in, are those of one
-    ``rng.random()`` per user and one ``rng.integers(size)`` per uniform
-    pick, user by user, decoded from one block of raw 64-bit words of the
-    bit generator (PCG64, numpy's default).  ``random()`` is the top 53
-    bits of a word.  ``integers(size)`` is Lemire's multiply-shift on a
-    32-bit half, taken again while the product's low word is below
-    2^32 mod size: the low half of a new word, whose high half is kept
-    for the next one (``has_uint32`` and ``uinteger`` in the state), and no
-    draw at all for size 1.  Sizes are below 2^32.
-    """
-    bitgen = rng.bit_generator
-    start = bitgen.state
-    has, half = start["has_uint32"], start["uinteger"]
-    # enough words for every draw unless a half is taken again; each
-    # retaken half fetches one more
-    raw = bitgen.random_raw(len(sizes) + (len(sizes) + 1 - has) // 2)
-    words = raw.tolist()
-    draws = ((raw >> np.uint64(11)) * 2.0 ** -53).tolist()
-    pos = 0
-    p_both = p_rand + p_joint
-    branch = [_GREEDY] * len(sizes)
-    for user, size in enumerate(sizes):
-        draw = draws[pos]
-        pos += 1
-        if draw >= p_both:
-            if greedy_ok[user]:
-                continue
-        elif draw >= p_rand and joint_ok[user]:
-            branch[user] = _JOINT
-            continue
-        if size == 1:
-            branch[user] = 0
-            continue
-        threshold = (_LOW + 1 - size) % size
-        while True:
-            if has:
-                has, low = 0, half
-            else:
-                has, half, low = 1, words[pos] >> 32, words[pos] & _LOW
-                pos += 1
-            product = low * size
-            if product & _LOW >= threshold:
-                break
-            word = int(bitgen.random_raw())
-            words.append(word)
-            draws.append((word >> 11) * 2.0 ** -53)
-        branch[user] = product >> 32
-    bitgen.state = start
-    bitgen.advance(pos)  # which clears the buffered half
-    if has or half:
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = has, half
-        bitgen.state = state
-    return np.array(branch)
 
 
 def _co_rating(signed_by: np.ndarray) -> np.ndarray:
@@ -547,13 +480,11 @@ def run_oracle(sim: Simulation) -> None:
 
 
 def _kth_free(free: np.ndarray, k: np.ndarray,
-              sizes: np.ndarray | None = None) -> np.ndarray:
+              sizes: np.ndarray) -> np.ndarray:
     """Per row of the boolean matrix ``free``, the index of its k-th (from
-    0) True entry; row i needs more than k[i] True entries.  ``sizes``, the
-    rows' True counts, is counted here if the caller does not hold it."""
+    0) True entry; row i needs more than k[i] True entries, and ``sizes``
+    holds the rows' True counts."""
     n_rows, n_cols = free.shape
-    if sizes is None:
-        sizes = np.count_nonzero(free, axis=1)
     starts = np.cumsum(sizes) - sizes  # row i's first True in flat order
     return np.flatnonzero(free)[starts + k] - np.arange(n_rows) * n_cols
 

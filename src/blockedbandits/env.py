@@ -612,6 +612,11 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _integers(values) -> np.ndarray:
+    """An int64 array of integral numbers, each checked by ``_integer``."""
+    return np.asarray([_integer(value) for value in values], dtype=np.int64)
+
+
 def instance_from_json(text: str) -> Instance:
     doc = json.loads(text)
     try:
@@ -621,10 +626,10 @@ def instance_from_json(text: str) -> Instance:
             n_users=_integer(doc["M"]), n_items=_integer(doc["N"]),
             horizon=_integer(doc["T"]), budget=_integer(doc["B"]),
             n_clusters=_integer(doc["C"]),
-            cluster_of=np.asarray(doc["cluster_of"], dtype=np.int64),
+            cluster_of=_integers(doc["cluster_of"]),
             rewards=np.asarray(doc["P"], dtype=np.float64),
             noise=noise,
-            item_cluster_of=None if item_cl is None else np.asarray(item_cl, dtype=np.int64),
+            item_cluster_of=None if item_cl is None else _integers(item_cl),
         )
     except KeyError as exc:
         raise ConfigurationError(f"instance document missing key {exc}") from exc

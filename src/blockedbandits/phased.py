@@ -123,13 +123,33 @@ def sampling_prob(n_users: int, n_items: int, delta: float, sigma: float,
 
     sigma^2 * mu^3 * log(d1) / (delta^2 * d2) with d1/d2 the larger and
     smaller of the two dimensions.  Unclamped; the caller routes p >= 1 to
-    the terminal branch.
+    the terminal branch.  A rate past the float range is inf, and one below
+    it is 0.
     """
     d1 = max(n_users, n_items)
     d2 = min(n_users, n_items)
     if delta <= 0 or d2 == 0:
         return float("inf")
-    return sigma ** 2 * mu_bound ** 3 * math.log(d1) / (delta ** 2 * d2)
+    try:
+        return sigma ** 2 * mu_bound ** 3 * math.log(d1) / (delta ** 2 * d2)
+    except (OverflowError, ZeroDivisionError):
+        # a power past the float range, or delta^2 below it
+        return _exp(2 * _log(sigma) + 3 * math.log(mu_bound)
+                    + _log(math.log(d1)) - 2 * math.log(delta)
+                    - math.log(d2))
+
+
+def _log(x: float) -> float:
+    """log(x), -inf at 0."""
+    return math.log(x) if x > 0 else -math.inf
+
+
+def _exp(x: float) -> float:
+    """exp(x), inf past the float range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def exploration_floor(n_users: int, n_items: int, mu_bound: float, rank: int,

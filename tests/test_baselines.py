@@ -68,6 +68,14 @@ class TestEtc:
         low = etc_sampling_prob(50, 50, 1, 0.01, 2, 5.0, 2.0)
         assert low == pytest.approx(4 / 50)
 
+    def test_rate_saturates_past_the_float_range(self):
+        assert etc_sampling_prob(50, 50, 10, 0.5, 2, 5.0, 1e300) == math.inf
+        # mu^2 past the float range: the rate from logs continues the direct
+        # one, here the floor mu^2 / d2
+        direct = etc_sampling_prob(50, 50, 10, 0.5, 2, 5.0, 1e154)
+        assert etc_sampling_prob(50, 50, 10, 0.5, 2, 5.0, 1e155) == \
+            pytest.approx(100 * direct, rel=1e-9)
+
     def test_out_of_range_rate_clamped_with_warning(self):
         inst = generate_instance(
             GeneratorSpec(name="d2", n_users=6, n_items=8, n_clusters=2,
@@ -201,7 +209,9 @@ def reference_collab_greedy(sim, cfg, rng):
     """``run_collab_greedy`` with the float64 round body it had before its
     statistics moved to float32 indicator state: every round rebuilds
     ``rated``, ``signs`` and ``has`` and compares the agreement quotient
-    with 0.5.  Kept verbatim as the reference of the equivalence test."""
+    with 0.5.  Kept as the reference of the equivalence test, in the
+    policy's draw order: one ``rng.random(M)`` a round, then one
+    ``rng.integers(size)`` per uniform user, user by user."""
     inst = sim.instance
     n_u, n_i = inst.n_users, inst.n_items
     horizon = inst.horizon
@@ -237,15 +247,16 @@ def reference_collab_greedy(sim, cfg, rng):
         joint_ok = free[:, joint_item].tolist()
         sizes = free.sum(axis=1).tolist()
         kth = np.full(n_u, -1)  # the k-th free item, for uniform picks
-        for user in range(n_u):
-            draw = rng.random()
+        draws = rng.random(n_u)
+        for user, draw in enumerate(draws):
             joint = p_rand <= draw < p_rand + p_joint
             if joint and joint_ok[user]:
                 picks[user] = joint_item
             elif draw < p_rand or joint or not greedy_ok[user]:
                 kth[user] = rng.integers(sizes[user])
         uniform = kth >= 0
-        picks[uniform] = _kth_free(free[uniform], kth[uniform])
+        picks[uniform] = _kth_free(free[uniform], kth[uniform],
+                                   free[uniform].sum(axis=1))
         values, _ = sim.recommend_many(users, picks, "greedy")
         rating_sum[users, picks] += values
 
@@ -315,26 +326,14 @@ class TestCollabGreedy:
         self.assert_matches_reference(inst, seed,
                                       CollabGreedyConfig(theta, alpha))
 
-    def test_rewinds_for_a_greedy_user_with_nothing_to_score(self,
-                                                              monkeypatch):
+    def test_greedy_user_with_nothing_to_score_picks_uniformly(self):
         # two users on 40 items at B = 1: until they co-rate an item and
         # agree on it, neither is the other's neighbour, and a user's own
         # rated items are blocked, so a greedy draw finds nothing to score
-        # and the round is drawn again from the same generator state
+        # and the user takes a uniform pick
         inst = Instance(2, 40, 20, 1, 1, np.zeros(2, dtype=int),
                         np.full((2, 40), 0.5), NoiseModel("sign"))
-        starts = []
-        draw = baselines._draw_branches
-
-        def spy(rng, *args):
-            starts.append(rng.bit_generator.state)
-            return draw(rng, *args)
-
-        monkeypatch.setattr(baselines, "_draw_branches", spy)
         self.assert_matches_reference(inst, 0, CollabGreedyConfig())
-        restores = sum(a == b for a, b in zip(starts, starts[1:]))
-        assert restores >= 1
-        assert len(starts) == inst.horizon + restores
 
     def test_rebuilds_co_rating_when_a_rating_sum_returns_to_zero(
             self, monkeypatch):
@@ -374,92 +373,6 @@ class TestCollabGreedy:
         assert sim.finished()
 
 
-def scalar_branches(rng, p_rand, p_joint, joint_ok, sizes, greedy_ok):
-    """``_draw_branches`` as it was before it decoded a block of raw words:
-    one ``rng.random()`` per user and one ``rng.integers(size)`` per uniform
-    pick, user by user."""
-    branch = []
-    for user, size in enumerate(sizes):
-        draw = rng.random()
-        joint = p_rand <= draw < p_rand + p_joint
-        if joint and joint_ok[user]:
-            branch.append(baselines._JOINT)
-        elif draw < p_rand or joint or not greedy_ok[user]:
-            branch.append(int(rng.integers(size)))
-        else:
-            branch.append(baselines._GREEDY)
-    return np.array(branch)
-
-
-class TestDrawBranches:
-    """The block decoder gives the branches, and leaves the whole
-    ``bit_generator.state`` (buffered 32-bit half included), of the scalar
-    calls."""
-
-    @staticmethod
-    def draw_both(seed, lead, *args):
-        """(branches, generator) of the decoder and of the scalar calls,
-        each on a generator that first made ``lead`` draws of
-        ``integers(5)``; an odd ``lead`` leaves a buffered half."""
-        runs = []
-        for draw in (baselines._draw_branches, scalar_branches):
-            rng = np.random.default_rng(seed)
-            for _ in range(lead):
-                rng.integers(5)
-            runs.append((draw(rng, *args).tolist(), rng))
-        return runs
-
-    def assert_matches_scalar(self, seed, lead, *args):
-        (got, rng), (expected, scalar_rng) = self.draw_both(seed, lead, *args)
-        assert got == expected
-        assert rng.bit_generator.state == scalar_rng.bit_generator.state
-
-    @settings(max_examples=200, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32), lead=st.integers(0, 3),
-           p_rand=st.floats(0, 1), p_joint=st.floats(0, 1),
-           users=st.lists(st.tuples(
-               st.booleans(), st.booleans(),
-               st.integers(1, 300) | st.integers(2 ** 31 - 3, 2 ** 31 + 3)),
-               min_size=1, max_size=40))
-    def test_matches_scalar_calls(self, seed, lead, p_rand, p_joint, users):
-        joint_ok, greedy_ok, sizes = (list(col) for col in zip(*users))
-        self.assert_matches_scalar(seed, lead, p_rand, p_joint, joint_ok,
-                                   sizes, greedy_ok)
-
-    def test_buffered_half_on_entry(self):
-        rng = np.random.default_rng(3)
-        rng.integers(5)
-        assert rng.bit_generator.state["has_uint32"] == 1
-        # every user uniform: the first pick takes the buffered half
-        self.assert_matches_scalar(3, 1, 1.0, 0.0, [True] * 9,
-                                   list(range(2, 11)), [True] * 9)
-
-    def test_size_one_draws_nothing(self):
-        (got, rng), _ = self.draw_both(5, 1, 1.0, 0.0, [True] * 6, [1] * 6,
-                                       [True] * 6)
-        assert got == [0] * 6
-        # one word per user for its branch, and the buffered half kept
-        expected = np.random.default_rng(5)
-        expected.integers(5)
-        expected.bit_generator.random_raw(6)
-        assert rng.bit_generator.state == expected.bit_generator.state
-        self.assert_matches_scalar(5, 1, 1.0, 0.0, [True] * 6, [1] * 6,
-                                   [True] * 6)
-
-    def test_rejections_past_the_block(self):
-        # at size 2^31 + 1 about half the halves are rejected; 30 uniform
-        # users take more words than the block of 30 + 15 the decoder
-        # fetches first
-        n, size = 30, 2 ** 31 + 1
-        args = (1.0, 0.0, [True] * n, [size] * n, [True] * n)
-        self.assert_matches_scalar(0, 0, *args)
-        (_, rng), _ = self.draw_both(0, 0, *args)
-        end = rng.bit_generator.state["state"]
-        used = [k for k in range(4 * n) if np.random.default_rng(
-            0).bit_generator.advance(k).state["state"] == end]
-        assert used and used[0] > n + (n + 1) // 2
-
-
 class TestKthFree:
     @given(n_rows=st.integers(1, 12), n_cols=st.integers(1, 12),
            budget=st.integers(1, 2), one_free=st.floats(0, 1),
@@ -476,9 +389,10 @@ class TestKthFree:
         counts[np.arange(n_rows), g.integers(0, n_cols, size=n_rows)] = \
             g.integers(0, budget, size=n_rows)
         free = counts < budget
-        k = g.integers(0, free.sum(axis=1))
+        sizes = free.sum(axis=1)
+        k = g.integers(0, sizes)
         expected = (np.cumsum(free, axis=1) > k[:, None]).argmax(axis=1)
-        np.testing.assert_array_equal(_kth_free(free, k), expected)
+        np.testing.assert_array_equal(_kth_free(free, k, sizes), expected)
 
 
 class TestOracleAndRandom:

@@ -324,7 +324,10 @@ class TestCommands:
         ("diag", "M", 7), ("diag", "N", 5), ("diag", "P", [0.5] * 8),
         ("diag", "cluster_of", [0] * 5), ("diag", "P", [[None] * 8] * 6),
         ("diag", "item_cluster_of", [0] * 3), ("diag", "M", 6.7),
-        ("diag", "B", 1.9), ("diag", "T", 4.5), ("diag", "C", True)])
+        ("diag", "B", 1.9), ("diag", "T", 4.5), ("diag", "C", True),
+        ("diag", "cluster_of", [0] * 5 + [0.5]),
+        ("diag", "item_cluster_of", [0] * 7 + [0.5]),
+        ("diag", "cluster_of", [0] * 5 + [False])])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, key,
                                        value):
         if command == "diag":
@@ -366,6 +369,23 @@ class TestCommands:
         assert len(rows) == len(algorithms) * 2 * horizon
         assert (tmp_path / "plot_paperfig_d1.py").exists()
         assert (tmp_path / "paperfig_d1_summary.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:exploration rate")
+    @pytest.mark.parametrize("name,params", [
+        ("phased", {"eps1": 1e-300}), ("phased", {"eps1": 1e300}),
+        ("etc", {"mu_bound": 1e300})],
+        ids=["phased-eps1-tiny", "phased-eps1-huge", "etc-mu-bound-huge"])
+    def test_rate_past_the_float_range_saturates(self, tmp_path, name,
+                                                 params):
+        # a finite, positive parameter whose sampling rate leaves the float
+        # range gets an inf or 0 rate, not a failed cell: phased fills or
+        # falls to its floor, and etc clamps
+        doc = edited(RUN_DOC, lambda d: d.update(
+            dataset=dict(d["dataset"], name="d3", users=4, items=4,
+                         horizon=4),
+            algorithm={"name": name, "params": params}))
+        assert run_cli(tmp_path, "run", doc) == 0
+        assert (tmp_path / "out" / "run.csv").exists()
 
     def test_paperfig_d3_includes_greedy(self, tmp_path):
         assert main(["paperfig", "d3", "0.1", "--seeds", "1", "--out-dir",

@@ -29,6 +29,13 @@ its one 40x40 block used to stop after 1279 proximal-gradient steps, and
 MFISTA converges in 190 to an objective 2.5e-6 (relative) lower, which
 changes some of the pairs ETC's commit walk picks (regret 62.91 -> 62.52).
 Every other digest, d1-practical included, was unchanged by that change.
+
+The two collab-greedy digests were re-taken when collaborative greedy began
+to draw each round's branches with one ``rng.random(M)`` and its uniform
+picks with one array-bounded ``rng.integers`` after them, instead of one
+``random()`` per user with each uniform user's ``integers`` right after
+its own.  Only the order of the draws changed: every branch probability
+and every uniform pick keeps its distribution, and no other digest moved.
 """
 
 import hashlib
@@ -94,7 +101,7 @@ GOLDEN = [
     ("d3", "etc", {},
      "ab8321eb73dbdbcf9fa947128e89ff98ee881404eb20f753876318371cc7f68d"),
     ("d3", "collab-greedy", {},
-     "623ef367b110060ae72a21b837807c516ed5c9d8a07457357aa36bfaad5ce2d0"),
+     "31b2f58d7dc87c1bc385bf3e698f3beed8d5326c0d48cf47f593b248d73b5520"),
     ("d3", "random", {},
      "871338f16631915eca333c7d61a4cbc5bcee428f7398a38726beadc804a09524"),
     ("d3", "oracle", {},
@@ -124,7 +131,7 @@ GOLDEN = [
     ("d3-b2", "etc", {"m_target": 4.0},
      "be2dce18a268ba8c5ff687596d8f3023f15a9aa405e2543223f81a21f68a1e5f"),
     ("d3-b2", "collab-greedy", {},
-     "3bdf04be4bce7c994dd65a8779fcdd301d7a685cdfb189b77b2f0c7aa40cc0b2"),
+     "466e7c71fc7894ac2f49b0bb17696ce39f8267ced0c8eea632876b5e762b918d"),
     ("d3-b2", "phased", {},
      "5eff2968a78cc8c189eecc95fb944584b95324f50deb5aefbfc7a9d58e1010f4"),
 ]

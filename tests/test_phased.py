@@ -54,6 +54,18 @@ class TestSamplingProb:
         assert sampling_prob(60, 60, 0.05, 0.0, 2.0) == 0.0
         assert exploration_floor(60, 60, 1.5, 4) > 0
 
+    def test_saturates_past_the_float_range(self):
+        # delta^2 below the float range, delta^2 and mu^3 past it
+        assert sampling_prob(100, 100, 1e-300, 0.5, 2.0) == math.inf
+        assert sampling_prob(100, 100, 1e300, 0.5, 2.0) == 0.0
+        assert sampling_prob(100, 100, 0.1, 0.5, 1e300) == math.inf
+        assert sampling_prob(60, 60, 1e-300, 0.0, 2.0) == 0.0
+        # the rate from logs continues the direct one: delta / 10^20 makes
+        # it 10^40 times larger
+        direct = sampling_prob(100, 100, 1e-150, 1e-100, 2.0)
+        assert sampling_prob(100, 100, 1e-170, 1e-100, 2.0) == \
+            pytest.approx(1e40 * direct, rel=1e-9)
+
     def test_golden_rank_accounting(self):
         assert golden_rank(horizon=60, budget=6, exploit_rounds=0) == 10
         assert golden_rank(horizon=60, budget=6, exploit_rounds=12) == 8
