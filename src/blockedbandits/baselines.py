@@ -95,11 +95,15 @@ def _commit(sim: Simulation, scores: np.ndarray, purpose: str) -> None:
     as one batch."""
     inst = sim.instance
     order = np.argsort(-scores, axis=1, kind="stable")
-    walks = [np.repeat(row, inst.budget - sim.ledger.counts[user, row])
-             [:inst.horizon - sim.rounds_done[user]]
-             for user, row in enumerate(order)]
-    users = np.repeat(np.arange(inst.n_users), [w.size for w in walks])
-    sim.recommend_many(users, np.concatenate(walks), purpose)
+    left = inst.budget - np.take_along_axis(sim.ledger.counts, order, axis=1)
+    items = np.repeat(order.ravel(), left.ravel())
+    # cut each user's run of items at the rounds it has left
+    runs = left.sum(axis=1, dtype=np.int64)
+    owed = inst.horizon - sim.rounds_done
+    ends = np.cumsum(runs) - runs + owed
+    keep = np.arange(items.size) < np.repeat(ends, runs)
+    users = np.repeat(np.arange(inst.n_users), np.minimum(runs, owed))
+    sim.recommend_many(users, items[keep], purpose)
 
 
 # -- practical phased variant (k-means refinement + in-group exploitation) --

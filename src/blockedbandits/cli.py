@@ -21,6 +21,7 @@ from .env import (
     GeneratorSpec,
     NoiseModel,
     _integer,
+    _real,
     instance_from_json,
 )
 from .harness import (
@@ -30,13 +31,6 @@ from .harness import (
     sweep,
     write_csv,
 )
-
-
-def _real(value) -> float:
-    """A real number; a bool or a string is an error, not converted."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"not a real number: {value!r}")
-    return float(value)
 
 
 # dataset key -> (GeneratorSpec field, type); absent keys take its defaults

@@ -612,6 +612,13 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """A real number; a bool or a string is an error, not converted."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"not a real number: {value!r}")
+    return float(value)
+
+
 def _integers(values) -> np.ndarray:
     """An int64 array of integral numbers, each checked by ``_integer``."""
     return np.asarray([_integer(value) for value in values], dtype=np.int64)
@@ -620,14 +627,16 @@ def _integers(values) -> np.ndarray:
 def instance_from_json(text: str) -> Instance:
     doc = json.loads(text)
     try:
-        noise = NoiseModel(doc["noise"]["kind"], doc["noise"].get("sigma", 0.0))
+        noise = NoiseModel(doc["noise"]["kind"],
+                           _real(doc["noise"].get("sigma", 0.0)))
         item_cl = doc.get("item_cluster_of")
         return Instance(
             n_users=_integer(doc["M"]), n_items=_integer(doc["N"]),
             horizon=_integer(doc["T"]), budget=_integer(doc["B"]),
             n_clusters=_integer(doc["C"]),
             cluster_of=_integers(doc["cluster_of"]),
-            rewards=np.asarray(doc["P"], dtype=np.float64),
+            rewards=np.array([[_real(p) for p in row] for row in doc["P"]],
+                             dtype=np.float64),
             noise=noise,
             item_cluster_of=None if item_cl is None else _integers(item_cl),
         )

@@ -24,8 +24,8 @@ the simulator's one rule for it.
 
 Costs: ``similarity_components`` on g rows of n columns takes O(g^2 n)
 time and O(g^2) memory, as it builds the graph one column at a time; a
-user's candidate walk (``_walk``) makes one numpy draw call per chunk of
-picks, not one per pick, and rewinds the generator where a chunk is cut.
+user's candidate walk (``_walk``) draws the uniforms of the picks it owes
+in one ``rng.random`` call, not one call per pick.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -212,18 +212,21 @@ class _Task:
 def _walk(counts: list[int], cand: list[int], budget: int, n: int,
           preferred: np.ndarray, rng: np.random.Generator) -> Iterator[int]:
     """One user's picks, made as they are asked for: each a uniform draw
-    from the list ``cand``, which an item leaves when its count in the
-    user's ledger row ``counts`` (a local copy) reaches ``budget``; an empty
-    list falls back to ``lowest_unblocked`` over ``preferred``.  Each pick
-    is added to ``counts``; between picks the caller may change counts
-    outside ``cand`` only.  The caller takes at least ``n`` picks, and the
-    draws (``_draws``) are those of one ``rng.integers(len(cand))`` call
-    per pick, generator state included.
+    ``cand[int(u * len(cand))]`` from the list ``cand``, which an item
+    leaves when its count in the user's ledger row ``counts`` (a local copy)
+    reaches ``budget``; an empty list falls back to ``lowest_unblocked``
+    over ``preferred``.  Each pick is added to ``counts``; between picks the
+    caller may change counts outside ``cand`` only.  The caller takes at
+    least ``n`` picks, and ``cand`` holds ``left`` of them, so the first
+    min(n, left) uniforms ``u`` come from one ``rng.random`` call and no
+    uniform is drawn that is not used; a later pick from ``cand`` draws
+    one more.
     """
-    draws = _draws(counts, cand, budget, n, rng)
+    left = sum(budget - counts[item] for item in cand)
+    draws = chain(rng.random(min(n, left)).tolist(), iter(rng.random, None))
     while True:
         if cand:
-            pos = next(draws)
+            pos = int(next(draws) * len(cand))
             item = cand[pos]
             if counts[item] + 1 >= budget:
                 del cand[pos]
@@ -231,59 +234,6 @@ def _walk(counts: list[int], cand: list[int], budget: int, n: int,
             item = int(lowest_unblocked(np.array(counts), preferred, budget))
         counts[item] += 1
         yield item
-
-
-# Below this many picks to the first one that empties an item, a chunk's
-# saved and restored generator state and second call cost more than the
-# one call per pick they replace.
-MIN_RUN = 8
-
-
-def _draws(counts: list[int], cand: list[int], budget: int, n: int,
-           rng: np.random.Generator) -> Iterator[int]:
-    """The positions ``_walk`` picks from ``cand``, read as it applies each
-    pick, each the value one ``rng.integers(len(cand))`` call gives there,
-    and the generator left as those calls leave it.  The ``n`` owed draws
-    are made in chunks:
-
-    - where every candidate has one pick left, each pick removes its item,
-      so the bounds of the next min(n, len(cand)) draws are known ahead
-      (len(cand), len(cand) - 1, ...) and one array-bounded call makes
-      them;
-    - otherwise the owed draws are made at the current bound in one call,
-      and the chunk ends at the first pick that takes an item to
-      ``budget``, after which the bound falls: if that pick is not the last
-      draw, the generator's state is restored and only the kept prefix is
-      drawn again.
-
-    This rests on numpy giving the same values and state for one call of
-    several draws as for one call per draw, and on ``bit_generator.state``
-    round-tripping.  Once a chunk ends within ``MIN_RUN`` draws, and after
-    the n-th pick, the draws are made one call each.
-    """
-    owed = n
-    while owed > 0:
-        size = len(cand)
-        left = [budget - counts[item] for item in cand]
-        if max(left) == 1:
-            chunk = rng.integers(0, np.arange(size, size - min(owed, size), -1)
-                                 ).tolist()
-        else:
-            state = rng.bit_generator.state
-            chunk = rng.integers(size, size=owed).tolist()
-            for i, pos in enumerate(chunk):
-                left[pos] -= 1
-                if not left[pos]:
-                    if i + 1 < owed:
-                        rng.bit_generator.state = state
-                        chunk = rng.integers(size, size=i + 1).tolist()
-                    break
-        yield from chunk
-        owed -= len(chunk)
-        if len(chunk) < MIN_RUN:
-            break
-    while True:
-        yield int(rng.integers(len(cand)))
 
 
 def _explore(sim: Simulation, users: np.ndarray, active: np.ndarray, t0: int,

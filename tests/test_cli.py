@@ -327,7 +327,9 @@ class TestCommands:
         ("diag", "B", 1.9), ("diag", "T", 4.5), ("diag", "C", True),
         ("diag", "cluster_of", [0] * 5 + [0.5]),
         ("diag", "item_cluster_of", [0] * 7 + [0.5]),
-        ("diag", "cluster_of", [0] * 5 + [False])])
+        ("diag", "cluster_of", [0] * 5 + [False]),
+        ("diag", "noise", {"kind": "gaussian", "sigma": True}),
+        ("diag", "P", [["0.1", True] + [0.5] * 6] * 6)])
     def test_bad_value_is_config_error(self, tmp_path, capsys, command, key,
                                        value):
         if command == "diag":

@@ -36,6 +36,15 @@ picks with one array-bounded ``rng.integers`` after them, instead of one
 ``random()`` per user with each uniform user's ``integers`` right after
 its own.  Only the order of the draws changed: every branch probability
 and every uniform pick keeps its distribution, and no other digest moved.
+
+The eleven phased, item-phased and ETC digests that log fillers or fills
+(d3, d1, d3-b2 and the explore, gap, items4 and items8 cases; d3-etc
+logs none) were re-taken when the phased engine's candidate walk began to
+pick ``cand[int(u * len(cand))]`` with the uniforms ``u`` of the picks it
+owes drawn by one ``rng.random`` call, instead of one
+``rng.integers(len(cand))`` per pick.  Each pick stays uniform over the
+candidates to within len(cand) * 2^-53; the commit walk, the oracle, random,
+practical and collaborative greedy digests did not move.
 """
 
 import hashlib
@@ -93,9 +102,9 @@ def _digest(case: str, name: str, params: dict) -> str:
 
 GOLDEN = [
     ("d3", "phased", {},
-     "a052ecf66601579510b0c443c8978b9b76102419368411a218f03dc94854221a"),
+     "84d30e0cbdd94b9a118fca7dac5603c24067259c3abd4ddee5a8d26b4841f695"),
     ("d3", "item-phased", {},
-     "a4eb60f47cc128f2148849abdc7587bb3698d13922710d0b8865dcddf19ef7cd"),
+     "c9c71b8ed8409188048d498a9edb1afb2158655c2bcd05a639ac134ff43ef3c9"),
     ("d3", "practical", {},
      "0878b0047be238a5b20b23d61f74a71113b100b606974963a07025de63e42b89"),
     ("d3", "etc", {},
@@ -107,33 +116,33 @@ GOLDEN = [
     ("d3", "oracle", {},
      "a1946f807c26b93b2f0aff0f3d8e7615e9aa0a27a42b0c23eff68edf190e19dd"),
     ("d1", "phased", {},
-     "6bf1e5751d323aada1f8a993daabf35d6e44c47d29bff7238c0448223b2a511e"),
+     "b2b9d323964721925871b98683007e11ef067f91a9fa81328f253f40e9be8466"),
     ("d1", "item-phased", {},
-     "5afd7a2d9faf1683e78d67c95182bc0422afaf241e48c2deaef1e0d1ab6a7782"),
+     "be515d11e828f694bca1cf84094ef2604d65403f85dad0a6f4f814d40f4314a2"),
     ("d1", "practical", {},
      "2671ae6b83abfc8205343eadc7812d9cb30cd66c70776445ba63a3f5b7254ad6"),
     ("d1", "etc", {},
-     "8f241a76a2210bb385577479e5342e7bd5ebf74fe96faa559a3ea5e946c87efb"),
+     "4b6ce4d5fc2578a104f03be6e5ab6735f0addf90ca3338bf4a9060632a666538"),
     ("explore", "phased", {"eps1": 80.0, "mu_bound": 2.0},
-     "644e4f866a308616fd7d9c83b44ef535a3898b8f18a3504cdc21a222d17450b9"),
+     "f01bd53d6ddb3342e9dfdf5c3a3490d24f69e3d1807cf615a4eadb464b79099f"),
     ("gap", "phased", {"mu_bound": 1.5},
-     "cfac6137509c8343c402aa9bea9a411d179ef38ce4973f76ef6d57a389af0af7"),
+     "6cfa3d31bd3af90c9064ae3b8de1410c527b2a78052ce06c05d13fce3a8392dc"),
     ("gap", "practical", {},
      "506620d8a7e4e3f2006a3ce47dccb344bc7962f0275e82927b6b885c4127adc3"),
     ("items4", "item-phased", {"mu_bound": 1.5},
-     "a4ca129a0f1626b603b5a45633c98cd2e55931c27f66ac0e2bba3e000d85e916"),
+     "e0efa52e5389f5bc27104b47c6457cd320dd3f5502b7f4851902482e5ddfc250"),
     ("items8", "item-phased", {"mu_bound": 1.5},
-     "a2614a2caf78e3687a397872422148f232230ee334e51d06645a4f53b7e5f39c"),
+     "7c0160279832a7392010d1f13e66e60a0772944e311183dd1feb5aedb9f68e38"),
     ("d3-b2", "random", {},
      "bdc1f2318f586afa5fb90dd6e79d74cd12fd0b7b8b23e9f656248a0832935e71"),
     ("d3-b2", "oracle", {},
      "a546a525fcb70463cb2fbdc8e5ee21492c1c9980b47c970147e2c760d918e9b3"),
     ("d3-b2", "etc", {"m_target": 4.0},
-     "be2dce18a268ba8c5ff687596d8f3023f15a9aa405e2543223f81a21f68a1e5f"),
+     "f22122e017d6edeebaaf927d594fea70666b03a77db0954780790fa99c955ad1"),
     ("d3-b2", "collab-greedy", {},
      "466e7c71fc7894ac2f49b0bb17696ce39f8267ced0c8eea632876b5e762b918d"),
     ("d3-b2", "phased", {},
-     "5eff2968a78cc8c189eecc95fb944584b95324f50deb5aefbfc7a9d58e1010f4"),
+     "980b1194bf80e7c9e8ae2f2fecf141ecf4858329ba05332e559bba2b11599ec6"),
 ]
 
 

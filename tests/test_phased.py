@@ -236,14 +236,17 @@ class TestRunPhased:
                                     horizon=28)
         _, sim = run_algorithm(inst, "phased", 5, {"mu_bound": 1.5})
         # the level-1 explore covers all users: everyone leaves the window
-        # at the same round, padded with fillers as needed
+        # at the same round, padded with fillers as needed; the window ends
+        # at the first event of a later block, as an exploit step may log
+        # fillers too
         window_end = {}
         n_explore = {}
         for ev in sim.events:
-            if ev.purpose in ("explore", "filler") and ev.round <= 25:
-                window_end[ev.user] = max(window_end.get(ev.user, 0), ev.round)
-                if ev.purpose == "explore":
-                    n_explore[ev.user] = n_explore.get(ev.user, 0) + 1
+            if ev.purpose in ("exploit", "fill"):
+                break
+            window_end[ev.user] = max(window_end.get(ev.user, 0), ev.round)
+            if ev.purpose == "explore":
+                n_explore[ev.user] = n_explore.get(ev.user, 0) + 1
         assert n_explore, "no exploration happened"
         ends = {window_end[u] for u in range(18)}
         assert len(ends) == 1
@@ -333,7 +336,7 @@ def reference_pick_filler(sim, user, active, excluded, rng):
     cand = sim.unblocked_in(user, active)
     cand = cand[~excluded[cand]]
     if cand.size:
-        return int(cand[rng.integers(cand.size)])
+        return int(cand[int(rng.random() * cand.size)])
     return reference_any_unblocked(sim, user, active)
 
 
@@ -396,7 +399,7 @@ def reference_fill(sim, users, active, t0, rng):
             if not cand:
                 item = int(np.flatnonzero(counts < budget)[0])
             else:
-                pos = int(rng.integers(len(cand)))
+                pos = int(rng.random() * len(cand))
                 item = cand[pos]
                 if counts[item] + 1 >= budget:
                     del cand[pos]
@@ -405,10 +408,11 @@ def reference_fill(sim, users, active, t0, rng):
 
 
 def reference_walk(counts, cand, budget, preferred, rng):
-    """A user's picks with one ``rng.integers`` call per pick."""
+    """A user's picks with one ``rng.random()`` call per pick from
+    ``cand``."""
     while True:
         if cand:
-            pos = int(rng.integers(len(cand)))
+            pos = int(rng.random() * len(cand))
             item = cand[pos]
             if counts[item] + 1 >= budget:
                 del cand[pos]
@@ -503,10 +507,11 @@ def prefilled_tasks(draw):
 
 class TestWalk:
     """``_walk`` makes the picks, counts and generator state of one
-    ``rng.integers`` call per pick, whatever chunks it draws in."""
+    ``rng.random()`` call per pick from the candidates, though it draws the
+    uniforms of the picks it owes in one call."""
 
     @given(case=walk_cases())
-    # mixed start counts, one a pick from the budget: a chunk is cut
+    # mixed start counts, one a pick from the budget
     @example(case=([6, 0, 2, 3, 5, 1, 4, 0, 2, 3], list(range(10)), 7, 30,
                    (5, 1), 30, {}, 1, 0))
     # more picks owed than candidates, then the fallback over preferred
@@ -536,6 +541,13 @@ class TestWalk:
             row, cand, budget, n, preferred, rng)) == run(
             lambda row, cand, rng: reference_walk(row, cand, budget,
                                                   preferred, rng))
+
+    def test_largest_uniform_picks_the_last_candidate(self):
+        # rng.random() < 1, and its largest value times any list length up
+        # to 2^16 still truncates to the last position, never past it
+        n = np.arange(1, 2 ** 16 + 1)
+        assert np.array_equal((np.nextafter(1.0, 0.0) * n).astype(np.int64),
+                              n - 1)
 
 
 class TestBatchedBlocks:
